@@ -184,6 +184,14 @@ func (rt *nodeRT) handleIdleReport(fc fabric.Ctx, m msgIdleReport) {
 	if t.done {
 		return
 	}
+	// Reports can arrive out of order although links are FIFO: a report
+	// that rides in a batch behind a message whose handler sends (and so
+	// polls) is dispatched after whatever that poll delivered. A node's
+	// counts only grow, so an older report is recognisable; letting it
+	// overwrite a newer one would leave the sums unequal forever.
+	if m.spawned < t.repS[m.from] || m.processed < t.repP[m.from] {
+		return
+	}
 	t.idleSeen[m.from] = true
 	t.repS[m.from] = m.spawned
 	t.repP[m.from] = m.processed

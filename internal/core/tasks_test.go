@@ -156,3 +156,22 @@ func TestTasksInterleaveWithSharedData(t *testing.T) {
 		t.Errorf("reduction = %d, want %d", total, want)
 	}
 }
+
+// TestStaleIdleReportIgnored: a report that is dispatched after a newer
+// one from the same node (it rode in a batch behind a message whose
+// handler polled) must not overwrite it, or the sums node 0 compares
+// never meet again and the pool never terminates.
+func TestStaleIdleReportIgnored(t *testing.T) {
+	rt := &nodeRT{n: 2, term: newTermState(2)}
+	// Node 0 has not reported, so no report below starts a probe.
+	rt.handleIdleReport(nil, msgIdleReport{from: 1, spawned: 7, processed: 5})
+	rt.handleIdleReport(nil, msgIdleReport{from: 1, spawned: 6, processed: 5})
+	rt.handleIdleReport(nil, msgIdleReport{from: 1, spawned: 7, processed: 4})
+	if s, p := rt.term.repS[1], rt.term.repP[1]; s != 7 || p != 5 {
+		t.Errorf("node 1's counts after stale reports = (%d, %d), want (7, 5)", s, p)
+	}
+	rt.handleIdleReport(nil, msgIdleReport{from: 1, spawned: 8, processed: 8})
+	if s, p := rt.term.repS[1], rt.term.repP[1]; s != 8 || p != 8 {
+		t.Errorf("node 1's counts after a newer report = (%d, %d), want (8, 8)", s, p)
+	}
+}

@@ -23,6 +23,7 @@ package fabtest
 
 import (
 	"testing"
+	"time"
 
 	"samsys/internal/fabric"
 	"samsys/internal/pack"
@@ -246,4 +247,38 @@ func testCounters(t *testing.T, mk Factory) {
 			t.Errorf("node %d: BytesSent = %d, want %d", i, cnt.BytesSent, msgs*size)
 		}
 	}
+}
+
+// TokenRing passes one token round the ranks of f, 0 -> 1 -> ... -> 0,
+// for the given number of laps and returns the wall time of the run. One
+// message is in flight at any moment and every rank but its holder is
+// blocked, so the time is laps x N wake-ups: the schedule that shows a
+// fabric whose waiters the scheduler cannot see (a spinning or
+// syscall-blocked consumer starves the others of the one P).
+func TokenRing(f fabric.Fabric, laps int) (time.Duration, error) {
+	n := f.N()
+	done := make([]fabric.Event, n)
+	f.SetHandler(func(hc fabric.Ctx, m fabric.Message) {
+		lap := m.Payload.(pack.Ints)[0]
+		if m.Dst == 0 {
+			lap++
+		}
+		if lap <= laps {
+			hc.Send((m.Dst+1)%n, 8, pack.Ints{lap})
+		}
+		// Rank 0 is done when the last lap's token comes home, every
+		// other rank when it has passed that token on.
+		if lap > laps || (m.Dst != 0 && lap == laps) {
+			done[m.Dst].Signal()
+		}
+	})
+	start := time.Now()
+	err := f.Run(func(c fabric.Ctx) {
+		done[c.Node()] = c.NewEvent()
+		if c.Node() == 0 {
+			c.Send(1%n, 8, pack.Ints{1})
+		}
+		done[c.Node()].Wait(c, stats.Idle)
+	})
+	return time.Since(start), err
 }

@@ -31,18 +31,26 @@ func TestLinkResetRecovery(t *testing.T) {
 	})
 	ck.Attach(rec)
 	cl.SetTracer(rec)
+	const total = 400
 	var got atomic.Int64
 	var lastPayload atomic.Int64
+	var all fabric.Event // rank 1's; its handler runs on its goroutine
 	cl.SetHandler(func(hc fabric.Ctx, m fabric.Message) {
 		if hc.Node() == 1 {
-			got.Add(1)
 			lastPayload.Store(int64(m.Payload.(pack.Ints)[0]))
+			if got.Add(1) == total {
+				all.Signal()
+			}
 		}
 	})
-	const total = 400
 	err = cl.Run(func(c fabric.Ctx) {
 		if c.Node() != 0 {
-			return // serves messages in the post-app drain
+			// Wait for the burst: the post-app drain only outlasts the
+			// run by DrainQuiet, which a redial on a loaded machine can
+			// exceed, and this test is about the resend, not the drain.
+			all = c.NewEvent()
+			all.Wait(c, stats.Idle)
+			return
 		}
 		for i := 0; i < total; i++ {
 			c.Send(1, 8, pack.Ints{i})

@@ -99,13 +99,12 @@ type Fab struct {
 	// Hybrid shared-memory state (see shm.go). hostID/shmDir are this
 	// rank's advertisement (empty: no shm); hostIDs/shmDirs are the
 	// cluster-wide maps learned at bootstrap; bootID names this run's
-	// segment files. The lane slices are indexed by peer rank, nil for
-	// TCP peers.
+	// segment files. shmSend is indexed by peer rank, nil for TCP peers;
+	// shmRx holds the inbound lanes and is nil without a co-located peer.
 	hostID, shmDir, bootID string
 	hostIDs, shmDirs       []string
 	shmSend                []*shmfab.SendLane
-	shmRecv                []*shmfab.RecvLane
-	shmWg                  sync.WaitGroup
+	shmRx                  *shmfab.Receiver
 
 	closing atomic.Bool
 	stop    chan struct{} // closed by shutdown; unblocks writer goroutines
@@ -172,7 +171,6 @@ func Join(cfg Config) (*Fab, error) {
 		hostIDs:  make([]string, cfg.N),
 		shmDirs:  make([]string, cfg.N),
 		shmSend:  make([]*shmfab.SendLane, cfg.N),
-		shmRecv:  make([]*shmfab.RecvLane, cfg.N),
 	}
 	for i := range f.inLinks {
 		f.inLinks[i] = &inLink{}
@@ -366,7 +364,11 @@ func (f *Fab) Run(app func(c fabric.Ctx)) (err error) {
 	f.ran = true
 	f.start = time.Now()
 	f.startNS.Store(f.start.UnixNano())
-	f.startShmConsumers()
+	if f.shmRx != nil {
+		// Frames sent by faster peers before this simply wait in their
+		// segments — shared memory is its own accept loop.
+		f.shmRx.Start()
+	}
 	c := &ctx{fab: f}
 	defer func() {
 		if r := recover(); r != nil {
@@ -431,10 +433,7 @@ func (f *Fab) shutdown() {
 	}
 	f.boot.mu.Unlock()
 	f.ln.Close()
-	// Unmapping a segment a consumer still touches would fault, so the
-	// lanes close only after every shm consumer has observed f.stop.
-	f.shmWg.Wait()
-	f.closeShmLanes()
+	f.closeShm()
 }
 
 // peer returns the data link to dst, dialing it on first use. Only the app

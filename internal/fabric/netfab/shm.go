@@ -3,9 +3,7 @@ package netfab
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"samsys/internal/fabric"
 	"samsys/internal/fabric/shmfab"
@@ -15,10 +13,12 @@ import (
 // Hybrid shared-memory support. Under Options.Shm = ShmAuto every rank
 // advertises a host identity and a segment directory when it registers;
 // the welcome broadcast carries the full maps plus a cluster-unique boot
-// id. A rank then creates one outbound shmfab lane per co-located peer
-// before entering the ready barrier — so by the time frGo releases the
-// cluster, every lane segment exists — and opens its inbound lanes right
-// after the barrier. ctx.Send routes to the lane when one exists and to
+// id. A rank then creates its doorbell and one outbound shmfab lane per
+// co-located peer before entering the ready barrier — so by the time frGo
+// releases the cluster, every bell and lane segment exists — and opens
+// its inbound lanes and its peers' bells right after the barrier. One
+// shmfab.Receiver per rank moves inbound frames into the inbox from Run
+// entry on. ctx.Send routes to the lane when one exists and to
 // TCP otherwise; the control plane (bootstrap, end-of-run barrier, abort
 // propagation) always stays on TCP, which is what keeps rank-crash
 // teardown bounded even for pure-shm pairs.
@@ -67,13 +67,20 @@ func (f *Fab) shmPeer(dst int) bool {
 	return dst != f.rank && f.hostID != "" && f.hostIDs[dst] == f.hostID
 }
 
-// createShmLanes creates this rank's outbound lane segments. Runs after
-// the host map is known and before the ready barrier, so every segment
-// exists before any rank starts sending.
+// createShmLanes creates this rank's doorbell and outbound lane
+// segments. Runs after the host map is known and before the ready
+// barrier, so every file exists before any rank opens one or sends.
 func (f *Fab) createShmLanes() error {
 	for dst := 0; dst < f.n; dst++ {
 		if !f.shmPeer(dst) {
 			continue
+		}
+		if f.shmRx == nil {
+			rx, err := shmfab.NewReceiver(shmfab.BellPath(f.shmDir, f.bootID, f.rank), f.n)
+			if err != nil {
+				return fmt.Errorf("netfab: rank %d: %w", f.rank, err)
+			}
+			f.attachShmReceiver(rx)
 		}
 		path := shmfab.LanePath(f.shmDir, f.bootID, f.rank, dst)
 		sl, err := shmfab.NewSendLane(path, f.opts.ShmRing, f.opts.ShmArena, f.opts.ShmInline)
@@ -102,96 +109,54 @@ func (f *Fab) createShmLanes() error {
 	return nil
 }
 
-// openShmLanes opens this rank's inbound lanes, in each sender's
-// advertised directory. Runs after the frGo barrier, which guarantees
-// every sender has created its segments.
+// attachShmReceiver points the rank's receiver at its inbox, the tracer
+// and the fabric's failure path.
+func (f *Fab) attachShmReceiver(rx *shmfab.Receiver) {
+	rx.Deliver = func(src, size int, payload any, seq int64) bool {
+		select {
+		case f.inbox <- inMsg{m: fabricMsg(src, f.rank, size, payload), seq: seq}:
+			return true
+		case <-f.stop:
+		case <-f.fail:
+		}
+		return false
+	}
+	rx.OnWake = func(src int, sleptNs int64) {
+		if tr := f.tr; tr != nil {
+			tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvShmWake,
+				Peer: int32(src), Aux: sleptNs})
+		}
+	}
+	rx.OnError = func(err error) { f.fatalf("shm %v", err) }
+	f.shmRx = rx
+}
+
+// openShmLanes opens, for every co-located peer, the inbound lane in the
+// peer's advertised directory and the peer's doorbell. Runs after the
+// frGo barrier, which guarantees every peer has created both.
 func (f *Fab) openShmLanes() error {
-	for src := 0; src < f.n; src++ {
-		if !f.shmPeer(src) {
+	for peer := 0; peer < f.n; peer++ {
+		if !f.shmPeer(peer) {
 			continue
 		}
-		path := shmfab.LanePath(f.shmDirs[src], f.bootID, src, f.rank)
-		rl, err := shmfab.OpenRecvLane(path)
-		if err != nil {
-			return fmt.Errorf("netfab: shm lane %d->%d: %w", src, f.rank, err)
+		dir := f.shmDirs[peer]
+		err := f.shmRx.OpenLane(peer, shmfab.LanePath(dir, f.bootID, peer, f.rank))
+		if err == nil {
+			err = f.shmSend[peer].OpenBell(shmfab.BellPath(dir, f.bootID, peer))
 		}
-		f.shmRecv[src] = rl
+		if err != nil {
+			return fmt.Errorf("netfab: shm link %d<->%d: %w", peer, f.rank, err)
+		}
 	}
 	return nil
 }
 
-// startShmConsumers launches one consumer goroutine per inbound lane.
-// Called at Run entry: frames sent by faster peers before that simply
-// wait in the segment — shared memory is its own accept loop.
-func (f *Fab) startShmConsumers() {
-	for src, rl := range f.shmRecv {
-		if rl != nil {
-			f.shmWg.Add(1)
-			go f.shmConsume(src, rl)
-		}
-	}
-}
-
-// shmConsume moves frames from one inbound lane into the node's inbox,
-// spinning briefly and then parking on the lane futex. The first delivery
-// after an actual sleep is recorded as a wake event.
-func (f *Fab) shmConsume(src int, lane *shmfab.RecvLane) {
-	defer f.shmWg.Done()
-	spin := 0
-	var sleptNs int64
-	for {
-		size, payload, seq, ok, err := lane.Poll()
-		if err != nil {
-			f.fatalf("shm lane %d->%d: %v", src, f.rank, err)
-			return
-		}
-		if !ok {
-			select {
-			case <-f.stop:
-				return
-			case <-f.fail:
-				return
-			default:
-			}
-			if spin < 64 {
-				spin++
-				runtime.Gosched()
-				continue
-			}
-			t0 := time.Now()
-			if lane.WaitData() {
-				sleptNs += int64(time.Since(t0))
-			}
-			continue
-		}
-		spin = 0
-		if sleptNs > 0 {
-			if tr := f.tr; tr != nil {
-				tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvShmWake,
-					Peer: int32(src), Aux: sleptNs})
-			}
-			sleptNs = 0
-		}
-		im := inMsg{m: fabricMsg(src, f.rank, size, payload), seq: seq}
-		select {
-		case f.inbox <- im:
-		case <-f.stop:
-			return
-		case <-f.fail:
-			return
-		}
-	}
-}
-
-// closeShmLanes stops nothing itself — call only after the consumers have
-// exited (shutdown closes f.stop and waits), since touching a segment
-// after unmap faults.
-func (f *Fab) closeShmLanes() {
-	for i, l := range f.shmRecv {
-		if l != nil {
-			l.Close()
-			f.shmRecv[i] = nil
-		}
+// closeShm stops the receiver and only then unmaps the lanes: touching a
+// segment after unmap faults.
+func (f *Fab) closeShm() {
+	if f.shmRx != nil {
+		f.shmRx.Stop()
+		f.shmRx.Close()
 	}
 	for i, l := range f.shmSend {
 		if l != nil {
@@ -206,13 +171,8 @@ func (f *Fab) closeShmLanes() {
 // rank; items that never rode an shm lane fall through in a few pointer
 // compares.
 func (f *Fab) ReleasePayload(node int, item any) {
-	if node != f.rank {
-		return
-	}
-	for _, l := range f.shmRecv {
-		if l != nil && l.Release(item) {
-			return
-		}
+	if node == f.rank && f.shmRx != nil {
+		f.shmRx.Release(item)
 	}
 }
 

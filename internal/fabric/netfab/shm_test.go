@@ -2,7 +2,9 @@ package netfab
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"samsys/internal/fabric"
 	"samsys/internal/fabric/fabtest"
@@ -214,5 +216,28 @@ func TestShmOffUnchanged(t *testing.T) {
 		if ev.Kind == trace.EvShmSend || ev.Kind == trace.EvShmArena {
 			t.Fatalf("shm event %v in a ShmOff cluster", ev.Kind)
 		}
+	}
+}
+
+// TestHybridTokenRingOneP runs the token ring on the benchmark's hybrid
+// placement (two hosts of two ranks: a lap is two shm and two TCP hops)
+// on a single P. The shm receivers and the TCP readers park in the same
+// netpoller, so neither kind of link starves the other; with per-lane
+// spinners and futex-blocked threads this took seconds.
+func TestHybridTokenRingOneP(t *testing.T) {
+	skipWithoutShm(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cl, err := NewLocal(machine.CM5, 4, WithShm(ShmAuto), WithHosts([]string{"h0", "h0", "h1", "h1"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const laps = 2000
+	took, err := fabtest.TokenRing(cl, laps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d laps of 4 ranks on one P: %v (%v per hop)", laps, took, took/(4*laps))
+	if took > 4*time.Second {
+		t.Errorf("%d laps took %v, want well under 4s", laps, took)
 	}
 }

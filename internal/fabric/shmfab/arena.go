@@ -110,13 +110,12 @@ func (a *arenaAlloc) fits(n int) bool {
 // which arena block so the runtime's release of an item frees the block.
 // A block may back several aliased slices (a coalesced batch decodes many
 // items from one frame); the block's live bit clears when the last one is
-// released. The map is touched by the lane's consumer goroutine (decode)
+// released. The map is touched by the rank's Receiver goroutine (decode)
 // and the receiving node's app goroutine (release), hence the mutex.
 type recvArena struct {
 	buf  []byte
 	base uintptr
 	size uintptr
-	ring *ring // wakes a producer stalled on arena space after a release
 
 	mu    sync.Mutex
 	byPtr map[uintptr]*blockRef
@@ -127,8 +126,8 @@ type blockRef struct {
 	refs int
 }
 
-func newRecvArena(s *segment, r *ring) *recvArena {
-	ra := &recvArena{buf: s.arena, ring: r, byPtr: make(map[uintptr]*blockRef)}
+func newRecvArena(s *segment) *recvArena {
+	ra := &recvArena{buf: s.arena, byPtr: make(map[uintptr]*blockRef)}
 	if len(s.arena) > 0 {
 		ra.base = uintptr(unsafe.Pointer(&s.arena[0]))
 		ra.size = uintptr(len(s.arena))
@@ -173,11 +172,9 @@ func (ra *recvArena) release(item any) bool {
 	return ref != nil
 }
 
-// free clears the live bit and pokes the producer, which may be waiting
-// for arena space.
+// free clears the live bit; the producer's next alloc reclaims the block.
 func (ra *recvArena) free(hdr *atomic.Uint64) {
 	hdr.Store(hdr.Load() &^ blockLive)
-	ra.ring.wakeProducer()
 }
 
 // outstanding returns how many delivered blocks are still referenced.

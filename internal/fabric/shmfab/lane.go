@@ -3,6 +3,7 @@ package shmfab
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
 	"time"
 
 	"samsys/internal/wire"
@@ -23,13 +24,13 @@ import (
 // link's sequence numbers.
 
 const (
-	// producerWait bounds one producer sleep while the ring or arena is
-	// full; the consumer's release wakes it sooner.
-	producerWait = 200 * time.Microsecond
-	// consumerWait bounds one consumer sleep on an empty ring; a send
-	// wakes it sooner. It also bounds how stale a consumer's view of the
-	// stop/fail channels can get.
-	consumerWait = time.Millisecond
+	// producerBackoff and producerBackoffMax bound the sleeps of a
+	// producer that finds the ring or arena full: it doubles from the
+	// first to the second between calls of service. Nothing wakes it —
+	// the consumer frees space at its own pace — but the sleep is a
+	// runtime timer, so the goroutine parks and its P runs someone else.
+	producerBackoff    = 5 * time.Microsecond
+	producerBackoffMax = 200 * time.Microsecond
 	// arenaDesc is the ring body of an arena handoff frame: u64 payload
 	// offset into the arena, u64 encoded-body length.
 	arenaDesc = 16
@@ -41,6 +42,7 @@ type SendLane struct {
 	ring   ring
 	arena  arenaAlloc
 	inline int
+	bell   *os.File // the destination rank's doorbell; nil until OpenBell
 
 	seq     int64 // per-link sequence of the last accepted message
 	pending []pend
@@ -77,12 +79,24 @@ func NewSendLane(path string, ringBytes, arenaBytes, inlineMax int) (*SendLane, 
 // Path returns the lane's segment file path.
 func (l *SendLane) Path() string { return l.seg.path }
 
+// OpenBell opens the destination rank's doorbell, which its Receiver
+// created at path. Until then (and on a lane driven by hand, with no
+// Receiver) sends publish frames and ring nothing.
+func (l *SendLane) OpenBell(path string) error {
+	f, err := bellOpen(path)
+	if err != nil {
+		return err
+	}
+	l.bell = f
+	return nil
+}
+
 // Send encodes one message onto the lane and returns its per-link
 // sequence number. It blocks until the message (and any earlier pending
 // ones) is in shared memory; while blocked it alternately calls service —
 // which must drain the caller's own inbox, and may re-enter Send on this
-// lane from a handler — and sleeps briefly for the consumer. Re-entrant
-// sends queue behind the blocked one, so per-link FIFO survives nesting.
+// lane from a handler — and backs off for the consumer. Re-entrant sends
+// queue behind the blocked one, so per-link FIFO survives nesting.
 func (l *SendLane) Send(size int, payload any, service func()) int64 {
 	e := wire.GetEncoder()
 	e.Int(size)
@@ -97,12 +111,15 @@ func (l *SendLane) Send(size int, payload any, service func()) int64 {
 	}
 	seq := l.seq
 	l.pending = append(l.pending, pend{enc: e})
+	backoff := producerBackoff
 	for len(l.pending) > 0 {
 		if l.flushOne() {
+			backoff = producerBackoff
 			continue
 		}
 		service()
-		l.ring.waitSpace(producerWait)
+		time.Sleep(backoff)
+		backoff = min(2*backoff, producerBackoffMax)
 	}
 	return seq
 }
@@ -142,6 +159,9 @@ func (l *SendLane) flushOne() bool {
 	} else if !l.ring.tryWrite(body, false) {
 		return false
 	}
+	if l.ring.claimWake() && l.bell != nil {
+		ringBell(l.bell)
+	}
 	wire.PutEncoder(p.enc)
 	if l.pending = l.pending[1:]; len(l.pending) == 0 {
 		l.pending = nil
@@ -159,7 +179,13 @@ func (l *SendLane) Epoch() uint64 { return l.seg.u64(offEpoch).Load() }
 
 // Close unmaps and unlinks the segment. Only call once the receiving end
 // has stopped: access after unmap faults.
-func (l *SendLane) Close() { l.seg.close() }
+func (l *SendLane) Close() {
+	l.seg.close()
+	if l.bell != nil {
+		l.bell.Close()
+		l.bell = nil
+	}
+}
 
 // RecvLane is the consumer end of one directed lane.
 type RecvLane struct {
@@ -176,9 +202,7 @@ func OpenRecvLane(path string) (*RecvLane, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &RecvLane{seg: seg, ring: newRing(seg)}
-	l.ra = newRecvArena(seg, &l.ring)
-	return l, nil
+	return &RecvLane{seg: seg, ring: newRing(seg), ra: newRecvArena(seg)}, nil
 }
 
 // Poll decodes the next message if one is ready. Inline bodies are copied
@@ -223,10 +247,6 @@ func (l *RecvLane) Poll() (size int, payload any, seq int64, ok bool, err error)
 	}
 	return size, payload, l.seq, true, nil
 }
-
-// WaitData blocks for at most consumerWait until the lane may have data;
-// reports whether it actually slept.
-func (l *RecvLane) WaitData() bool { return l.ring.waitData(consumerWait) }
 
 // Empty reports whether the lane has no undelivered frames.
 func (l *RecvLane) Empty() bool { return l.ring.empty() }

@@ -2,9 +2,13 @@
 
 package shmfab
 
-import "errors"
+import (
+	"errors"
+	"os"
+)
 
-// mmapSupported reports whether this build can map shared segments at all.
+// mmapSupported reports whether this build can map shared segments (and
+// make doorbell FIFOs) at all.
 const mmapSupported = false
 
 var errUnsupported = errors.New("shmfab: shared-memory segments are not supported on this platform")
@@ -12,3 +16,6 @@ var errUnsupported = errors.New("shmfab: shared-memory segments are not supporte
 func mapCreate(path string, size int) ([]byte, error) { return nil, errUnsupported }
 func mapOpen(path string) ([]byte, error)             { return nil, errUnsupported }
 func mapClose(mem []byte) error                       { return nil }
+
+func bellCreate(path string) (*os.File, error) { return nil, errUnsupported }
+func bellOpen(path string) (*os.File, error)   { return nil, errUnsupported }

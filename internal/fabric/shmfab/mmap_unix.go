@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"syscall"
+	"time"
 )
 
-// mmapSupported reports whether this build can map shared segments at all.
+// mmapSupported reports whether this build can map shared segments (and
+// make doorbell FIFOs) at all.
 const mmapSupported = true
 
 // mapCreate creates the segment file with the exact size and maps it
@@ -56,4 +58,37 @@ func mapClose(mem []byte) error {
 		return nil
 	}
 	return syscall.Munmap(mem)
+}
+
+// bellCreate makes the doorbell FIFO and opens the receiving rank's end.
+// O_RDWR keeps a writer on the FIFO for as long as the reader lives, so
+// the open never blocks and a read never sees end-of-file; os.OpenFile
+// puts a FIFO in non-blocking mode and registers it with the runtime's
+// network poller, so a Read on an empty bell parks the goroutine and
+// holds no thread.
+func bellCreate(path string) (*os.File, error) {
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		return nil, fmt.Errorf("shmfab: create doorbell %s: %w", path, err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err == nil {
+		// A file the poller cannot watch would block a thread in read.
+		if err = f.SetReadDeadline(time.Time{}); err != nil {
+			f.Close()
+		}
+	}
+	if err != nil {
+		os.Remove(path)
+		return nil, fmt.Errorf("shmfab: open doorbell: %w", err)
+	}
+	return f, nil
+}
+
+// bellOpen opens a sender's end of a doorbell another rank created.
+func bellOpen(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil, fmt.Errorf("shmfab: open doorbell: %w", err)
+	}
+	return f, nil
 }

@@ -78,8 +78,9 @@ func DefaultDir() string {
 }
 
 // Available reports whether this platform and directory support shm
-// lanes: mmap must exist and dir must accept a mapped file. Use it to
-// skip shm tests and to gate netfab's automatic fabric selection.
+// lanes: mmap must exist and dir must accept a mapped file and a doorbell
+// FIFO the runtime can poll. Use it to skip shm tests and to gate
+// netfab's automatic fabric selection.
 func Available(dir string) bool {
 	if !mmapSupported {
 		return false
@@ -87,11 +88,17 @@ func Available(dir string) bool {
 	if dir == "" {
 		dir = DefaultDir()
 	}
-	s, err := createSegment(LanePath(dir, fmt.Sprintf("probe-%d-%d", os.Getpid(), laneSerial.Add(1)), 0, 0), 256, 0)
+	id := fmt.Sprintf("probe-%d-%d", os.Getpid(), laneSerial.Add(1))
+	s, err := createSegment(LanePath(dir, id, 0, 0), 256, 0)
 	if err != nil {
 		return false
 	}
 	s.close()
+	r, err := NewReceiver(BellPath(dir, id, 0), 0)
+	if err != nil {
+		return false
+	}
+	r.Close()
 	return true
 }
 

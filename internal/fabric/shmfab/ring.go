@@ -3,7 +3,6 @@ package shmfab
 import (
 	"encoding/binary"
 	"sync/atomic"
-	"time"
 )
 
 // The ring carries length-prefixed frames between exactly one producer
@@ -19,6 +18,12 @@ import (
 // head and frees space by storing tail. Go's atomics order the plain
 // writes before the publishing store on both sides, in-process and across
 // processes (the mapping is the same physical memory).
+//
+// The one other shared word is csleep, the consumer's "I am about to
+// park" flag (see Receiver): the consumer stores it and then re-reads
+// head; the producer stores head and then reads it. Go's atomics are
+// sequentially consistent, so at least one side sees the other's store
+// and a frame is never left behind a parked consumer.
 const (
 	frameHdr   = 8
 	flagSkip   = 1 << 32 // padding frame: no body, jump to ring start
@@ -33,17 +38,15 @@ type ring struct {
 	buf  []byte
 	size uint64
 
-	head, tail     *atomic.Uint64
-	cwake, pwake   *atomic.Uint32
-	csleep, psleep *atomic.Uint32
+	head, tail *atomic.Uint64
+	csleep     *atomic.Uint32
 }
 
 func newRing(s *segment) ring {
 	return ring{
 		buf: s.ring, size: uint64(len(s.ring)),
 		head: s.u64(offHead), tail: s.u64(offTail),
-		cwake: s.u32(offCWake), pwake: s.u32(offPWake),
-		csleep: s.u32(offCSleep), psleep: s.u32(offPSleep),
+		csleep: s.u32(offCSleep),
 	}
 }
 
@@ -81,7 +84,6 @@ func (r *ring) tryWrite(body []byte, arena bool) bool {
 	binary.LittleEndian.PutUint64(r.buf[pos:], hdr)
 	copy(r.buf[pos+frameHdr:], body)
 	r.head.Store(h + need)
-	r.wakeConsumer()
 	return true
 }
 
@@ -100,7 +102,6 @@ func (r *ring) tryRead() (body []byte, arena bool, ok bool) {
 		n := hdr & frameLenMx
 		if hdr&flagSkip != 0 {
 			r.tail.Store(t + frameHdr + n)
-			r.wakeProducer()
 			continue
 		}
 		return r.buf[pos+frameHdr : pos+frameHdr+n], hdr&flagArena != 0, true
@@ -111,48 +112,14 @@ func (r *ring) tryRead() (body []byte, arena bool, ok bool) {
 // ring space.
 func (r *ring) release(bodyLen int) {
 	r.tail.Store(r.tail.Load() + uint64(frameHdr+pad8(bodyLen)))
-	r.wakeProducer()
-}
-
-// wakeConsumer wakes a consumer that declared itself sleeping.
-func (r *ring) wakeConsumer() {
-	if r.csleep.Load() != 0 {
-		r.cwake.Add(1)
-		futexWake(r.cwake)
-	}
-}
-
-// wakeProducer wakes a producer blocked on a full ring (or arena).
-func (r *ring) wakeProducer() {
-	if r.psleep.Load() != 0 {
-		r.pwake.Add(1)
-		futexWake(r.pwake)
-	}
 }
 
 // empty reports whether the consumer has caught up with the producer.
 func (r *ring) empty() bool { return r.tail.Load() == r.head.Load() }
 
-// waitSpace blocks the producer for at most d waiting for the consumer to
-// free ring or arena space. The sleeping flag closes the race with
-// wakeProducer; the timeout closes what remains of it.
-func (r *ring) waitSpace(d time.Duration) {
-	r.psleep.Store(1)
-	w := r.pwake.Load()
-	futexWait(r.pwake, w, d)
-	r.psleep.Store(0)
-}
-
-// waitData blocks the consumer for at most d waiting for a frame, unless
-// one is already there. Reports whether it actually slept.
-func (r *ring) waitData(d time.Duration) bool {
-	r.csleep.Store(1)
-	w := r.cwake.Load()
-	if !r.empty() {
-		r.csleep.Store(0)
-		return false
-	}
-	futexWait(r.cwake, w, d)
-	r.csleep.Store(0)
-	return true
+// claimWake reports whether the consumer declared itself parked and the
+// calling producer is the one that must ring its doorbell. Clearing the
+// flag here makes a burst of frames ring once per park, not once each.
+func (r *ring) claimWake() bool {
+	return r.csleep.Load() != 0 && r.csleep.CompareAndSwap(1, 0)
 }

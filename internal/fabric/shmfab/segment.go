@@ -5,7 +5,8 @@
 // connects co-located ranks through mmap'd shared segments, one
 // single-producer/single-consumer ring-buffer lane per ordered (src,dst)
 // pair, so a message between two ranks on the same host is a memory copy
-// and a futex wake instead of a trip through the network stack.
+// and, when the receiver is parked, one byte down its doorbell FIFO
+// instead of a trip through the network stack.
 //
 // Each lane is one segment file (created by the sender, opened by the
 // receiver) holding a fixed header, a byte ring of length-prefixed frames,
@@ -18,12 +19,14 @@
 // runtime drops the item. Per-link FIFO is a property of the ring, not a
 // protocol: frames leave in the order they were written.
 //
-// The package offers the lane machinery (used by netfab's hybrid mode,
-// where co-located pairs of a TCP cluster get shm lanes) and Cluster, an
-// in-process fabric that runs every rank's application on its own
-// goroutine with all communication through real mapped segments — the
-// pure-shm configuration, used by the conformance suite, the race
-// detector and the benchmarks.
+// The package offers the lane machinery and Receiver, the one goroutine
+// per rank that drains every inbound lane and parks on the rank's
+// doorbell (both used by netfab's hybrid mode, where co-located pairs of
+// a TCP cluster get shm lanes), and Cluster, an in-process fabric that
+// runs every rank's application on its own goroutine with all
+// communication through real mapped segments — the pure-shm
+// configuration, used by the conformance suite, the race detector and
+// the benchmarks.
 package shmfab
 
 import (
@@ -35,24 +38,23 @@ import (
 )
 
 // Segment layout. The header holds the lane's shared state: the ring
-// cursors, the futex words and the sleeping flags for both directions of
-// the wakeup protocol, and a reinit epoch for fault injection. head and
-// tail are monotonically increasing byte offsets (position = offset mod
-// ring size); all header words are 8- or 4-byte aligned because the
-// mapping is page-aligned and the offsets are fixed.
+// cursors, the consumer's sleeping flag and a reinit epoch for fault
+// injection. head and tail are monotonically increasing byte offsets
+// (position = offset mod ring size); all header words are 8- or 4-byte
+// aligned because the mapping is page-aligned and the offsets are fixed.
+// The words the producer writes and the words the consumer writes sit on
+// different cache lines. The magic carries the layout version: 02 dropped
+// the futex words of 01, so a mixed-version pair fails at open.
 const (
-	segMagic = 0x53414d53484d3031 // "SAMSHM01"
+	segMagic = 0x53414d53484d3032 // "SAMSHM02"
 
 	offMagic   = 0
 	offRingSz  = 8
 	offArenaSz = 16
 	offHead    = 24 // atomic u64: producer publish cursor
-	offTail    = 32 // atomic u64: consumer consume cursor
-	offCWake   = 40 // atomic u32 futex word: wakes the consumer
-	offPWake   = 44 // atomic u32 futex word: wakes the producer
-	offCSleep  = 48 // atomic u32: consumer declared itself sleeping
-	offPSleep  = 52 // atomic u32: producer declared itself sleeping
-	offEpoch   = 56 // atomic u64: lane reinit count (fault injection)
+	offEpoch   = 32 // atomic u64: lane reinit count (fault injection)
+	offTail    = 64 // atomic u64: consumer consume cursor
+	offCSleep  = 72 // atomic u32: consumer is parked, ring its doorbell
 	segHdrSize = 128
 )
 
@@ -117,9 +119,10 @@ func (s *segment) slice(ringBytes, arenaBytes int) {
 	s.arena = s.mem[segHdrSize+ringBytes : segHdrSize+ringBytes+arenaBytes : segHdrSize+ringBytes+arenaBytes]
 }
 
-// close unmaps the segment; the creator also unlinks the file. Call only
-// after every goroutine touching the mapping has stopped — access after
-// munmap faults.
+// close unmaps the segment; the creator also removes the file, unless
+// the opener already did (Receiver.OpenLane). Call only after every
+// goroutine touching the mapping has stopped — access after munmap
+// faults.
 func (s *segment) close() {
 	if s.mem == nil {
 		return

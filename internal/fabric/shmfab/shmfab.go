@@ -3,9 +3,7 @@ package shmfab
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"samsys/internal/fabric"
@@ -28,11 +26,11 @@ type inMsg struct {
 // Cluster is an in-process cluster whose ranks communicate through real
 // mapped shm segments: one goroutine per rank runs the application (the
 // gofab execution model — handlers run only inside fabric calls, so a
-// node's app and handler code never overlap), one consumer goroutine per
-// inbound lane moves frames from shared memory into the rank's inbox.
+// node's app and handler code never overlap), one Receiver goroutine per
+// rank moves frames from its inbound lanes into the rank's inbox.
 // Everything a hybrid multi-process deployment does — encode, ring write,
-// futex wake, in-place arena decode — happens here where the race
-// detector and the conformance suite can see it.
+// doorbell, in-place arena decode — happens here where the race detector
+// and the conformance suite can see it.
 type Cluster struct {
 	n        int
 	prof     machine.Profile
@@ -42,28 +40,28 @@ type Cluster struct {
 	acct     [][]int64 // [node][cat] nanoseconds, guarded by node goroutine
 
 	send [][]*SendLane // [src][dst], nil on the diagonal
-	recv [][]*RecvLane // [dst][src], nil on the diagonal
+	rx   []*Receiver   // per rank: its inbound lanes and doorbell
 
-	inboxes  []chan inMsg
-	inflight []atomic.Int64 // per dst: frames popped but not yet enqueued
-	selfSeq  []int64        // per-node self-link sequence, owner goroutine only
+	inboxes []chan inMsg
+	selfSeq []int64 // per-node self-link sequence, owner goroutine only
 
 	start   time.Time
 	elapsed sim.Time
 	ran     bool
 	done    chan struct{} // closed when every app body has returned
-	stop    chan struct{} // closed when consumers must exit
+	stop    chan struct{} // closed when the receivers must exit
 
 	fail     chan struct{} // closed on cluster-fatal error (injected kill)
 	failOnce sync.Once
 	failErr  error
 
 	tr *trace.Recorder
-	wg sync.WaitGroup // consumer goroutines
 }
 
-// New creates an n-node shm cluster, creating and mapping the n*(n-1)
-// lane segments up front.
+// New creates an n-node shm cluster, creating and mapping the n doorbells
+// and n*(n-1) lane segments up front. Every file is unlinked again before
+// New returns — both ends of each are open by then — so a cluster that is
+// never Run, or whose process is killed, leaves nothing in the directory.
 func New(prof machine.Profile, n int, opts ...Option) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shmfab: need at least one node, got %d", n)
@@ -77,9 +75,8 @@ func New(prof machine.Profile, n int, opts ...Option) (*Cluster, error) {
 		counters: make([]stats.Counters, n),
 		acct:     make([][]int64, n),
 		send:     make([][]*SendLane, n),
-		recv:     make([][]*RecvLane, n),
+		rx:       make([]*Receiver, n),
 		inboxes:  make([]chan inMsg, n),
-		inflight: make([]atomic.Int64, n),
 		selfSeq:  make([]int64, n),
 		done:     make(chan struct{}),
 		stop:     make(chan struct{}),
@@ -90,7 +87,15 @@ func New(prof machine.Profile, n int, opts ...Option) (*Cluster, error) {
 		f.acct[i] = make([]int64, stats.NumCat)
 		f.inboxes[i] = make(chan inMsg, inboxCap)
 		f.send[i] = make([]*SendLane, n)
-		f.recv[i] = make([]*RecvLane, n)
+	}
+	for dst := 0; dst < n; dst++ {
+		rx, err := NewReceiver(BellPath(o.Dir, id, dst), n)
+		if err != nil {
+			f.closeLanes()
+			return nil, err
+		}
+		f.rx[dst] = rx
+		f.attach(rx, dst)
 	}
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
@@ -104,12 +109,13 @@ func New(prof machine.Profile, n int, opts ...Option) (*Cluster, error) {
 				return nil, fmt.Errorf("shmfab: lane %d->%d: %w", src, dst, err)
 			}
 			f.send[src][dst] = sl
-			rl, err := OpenRecvLane(path)
+			if err = f.rx[dst].OpenLane(src, path); err == nil {
+				err = sl.OpenBell(BellPath(o.Dir, id, dst))
+			}
 			if err != nil {
 				f.closeLanes()
 				return nil, fmt.Errorf("shmfab: lane %d->%d open: %w", src, dst, err)
 			}
-			f.recv[dst][src] = rl
 			s, d := src, dst
 			sl.OnSend = func(seq int64, size, bodyLen int, arenaCand bool) {
 				if tr := f.tr; tr != nil {
@@ -129,15 +135,39 @@ func New(prof machine.Profile, n int, opts ...Option) (*Cluster, error) {
 			}
 		}
 	}
+	// Every sender has its end of every bell; the names can go.
+	for _, rx := range f.rx {
+		os.Remove(rx.bellPath)
+	}
 	return f, nil
 }
 
+// attach points rank dst's receiver at its inbox, the tracer and the
+// cluster's failure path.
+func (f *Cluster) attach(rx *Receiver, dst int) {
+	rx.Deliver = func(src, size int, payload any, seq int64) bool {
+		im := inMsg{m: fabric.Message{Src: src, Dst: dst, Size: size, Payload: payload}, seq: seq}
+		select {
+		case f.inboxes[dst] <- im:
+			return true
+		case <-f.fail:
+		case <-f.stop:
+		}
+		return false
+	}
+	rx.OnWake = func(src int, sleptNs int64) {
+		if tr := f.tr; tr != nil {
+			tr.Emit(trace.Event{Node: int32(dst), Kind: trace.EvShmWake,
+				Peer: int32(src), Aux: sleptNs})
+		}
+	}
+	rx.OnError = func(err error) { f.fatalf("shmfab: rank %d: %v", dst, err) }
+}
+
 func (f *Cluster) closeLanes() {
-	for _, row := range f.recv {
-		for _, l := range row {
-			if l != nil {
-				l.Close()
-			}
+	for _, rx := range f.rx {
+		if rx != nil {
+			rx.Close()
 		}
 	}
 	for _, row := range f.send {
@@ -181,7 +211,7 @@ func (f *Cluster) SetTracer(r *trace.Recorder) {
 
 // fatalf records the first cluster-fatal error and releases everything
 // blocked on the fabric: contexts panic with the error at their next
-// fabric call, consumers and waits unwind through the fail channel.
+// fabric call, receivers and waits unwind through the fail channel.
 func (f *Cluster) fatalf(format string, args ...any) {
 	f.failOnce.Do(func() {
 		f.failErr = fmt.Errorf(format, args...)
@@ -235,32 +265,21 @@ func (f *Cluster) InjectLinkReset(src, dst int) bool {
 // Implements fabric.PayloadReleaser; a heap-allocated item matches no
 // lane and falls through in a few pointer compares.
 func (f *Cluster) ReleasePayload(node int, item any) {
-	if node < 0 || node >= f.n {
-		return
-	}
-	for src, l := range f.recv[node] {
-		if src != node && l != nil && l.Release(item) {
-			return
-		}
+	if node >= 0 && node < f.n {
+		f.rx[node].Release(item)
 	}
 }
 
-// Run launches one goroutine per rank plus one consumer per inbound lane
-// and returns when all ranks complete, or with the stored error after an
-// injected kill.
+// Run launches one goroutine per rank plus its receiver and returns when
+// all ranks complete, or with the stored error after an injected kill.
 func (f *Cluster) Run(app func(c fabric.Ctx)) error {
 	if f.ran {
 		return fmt.Errorf("shmfab: Run called twice")
 	}
 	f.ran = true
 	f.start = time.Now()
-	for dst := 0; dst < f.n; dst++ {
-		for src := 0; src < f.n; src++ {
-			if l := f.recv[dst][src]; l != nil {
-				f.wg.Add(1)
-				go f.consume(src, dst, l)
-			}
-		}
+	for _, rx := range f.rx {
+		rx.Start()
 	}
 	var appWg, drainWg sync.WaitGroup
 	appWg.Add(f.n)
@@ -278,10 +297,12 @@ func (f *Cluster) Run(app func(c fabric.Ctx)) error {
 	appWg.Wait()
 	close(f.done)
 	drainWg.Wait()
-	// Stop consumers, then tear down the mappings: a consumer touching a
-	// segment after munmap would fault, so the order is load-bearing.
+	// Stop the receivers, then tear down the mappings: a receiver touching
+	// a segment after munmap would fault, so the order is load-bearing.
 	close(f.stop)
-	f.wg.Wait()
+	for _, rx := range f.rx {
+		rx.Stop()
+	}
 	f.closeLanes()
 	f.elapsed = sim.Time(time.Since(f.start))
 	if f.failed() {
@@ -308,75 +329,11 @@ func (f *Cluster) runApp(c *ctx, app func(fabric.Ctx), appWg *sync.WaitGroup) (a
 	return false
 }
 
-// consume moves frames from one inbound lane into dst's inbox. It spins
-// briefly, then parks on the lane's futex with a bounded timeout; the
-// first delivery after an actual sleep is recorded as a wake event.
-func (f *Cluster) consume(src, dst int, lane *RecvLane) {
-	defer f.wg.Done()
-	spin := 0
-	var sleptNs int64
-	for {
-		f.inflight[dst].Add(1)
-		size, payload, seq, ok, err := lane.Poll()
-		if err != nil {
-			f.inflight[dst].Add(-1)
-			f.fatalf("shmfab: lane %d->%d: %v", src, dst, err)
-			return
-		}
-		if !ok {
-			f.inflight[dst].Add(-1)
-			select {
-			case <-f.stop:
-				return
-			case <-f.fail:
-				return
-			default:
-			}
-			if spin < 64 {
-				spin++
-				runtime.Gosched()
-				continue
-			}
-			t0 := time.Now()
-			if lane.WaitData() {
-				sleptNs += int64(time.Since(t0))
-			}
-			continue
-		}
-		spin = 0
-		if sleptNs > 0 {
-			if tr := f.tr; tr != nil {
-				tr.Emit(trace.Event{Node: int32(dst), Kind: trace.EvShmWake,
-					Peer: int32(src), Aux: sleptNs})
-			}
-			sleptNs = 0
-		}
-		im := inMsg{m: fabric.Message{Src: src, Dst: dst, Size: size, Payload: payload}, seq: seq}
-		select {
-		case f.inboxes[dst] <- im:
-		case <-f.fail:
-			f.inflight[dst].Add(-1)
-			return
-		case <-f.stop:
-			f.inflight[dst].Add(-1)
-			return
-		}
-		f.inflight[dst].Add(-1)
-	}
-}
-
 // quiescent reports whether node has nothing left to deliver right now:
-// no frame in any inbound ring, none in a consumer's hands, none queued.
+// no frame in any inbound ring, none in the receiver's hands, none queued
+// — checked in the order a frame travels, so none slips between checks.
 func (f *Cluster) quiescent(node int) bool {
-	if f.inflight[node].Load() != 0 || len(f.inboxes[node]) != 0 {
-		return false
-	}
-	for src, l := range f.recv[node] {
-		if src != node && l != nil && !l.Empty() {
-			return false
-		}
-	}
-	return true
+	return f.rx[node].Quiescent() && len(f.inboxes[node]) == 0
 }
 
 // Report returns the cost breakdown accumulated by Charge calls.
@@ -492,8 +449,8 @@ func (c *ctx) poll() {
 // drainUntil keeps serving messages after the app body returns, until
 // every rank's app is done — then drains the tail: unlike gofab's
 // channel-only transport, a message here may still be sitting in a ring
-// or a consumer's hands, so the node serves until its inbound paths stay
-// quiet for the configured window.
+// or the receiver's hands, so the node serves until its inbound paths
+// stay quiet for the configured window.
 func (c *ctx) drainUntil(done chan struct{}) {
 	f := c.fab
 	for {

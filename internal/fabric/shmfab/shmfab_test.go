@@ -53,7 +53,7 @@ func TestArenaHandoff(t *testing.T) {
 					t.Fatalf("value %d: got %g want %g", i, delivered[i], want[i])
 				}
 			}
-			lane := f.recv[1][0]
+			lane := f.rx[1].lanes[0]
 			base := payloadBase(delivered)
 			if base < lane.ra.base || base >= lane.ra.base+lane.ra.size {
 				t.Error("delivered payload does not alias the shared arena (copied?)")
@@ -127,7 +127,7 @@ func TestArenaBackpressure(t *testing.T) {
 	if got != msgs {
 		t.Errorf("delivered %d messages, want %d", got, msgs)
 	}
-	if n := f.recv[1][0].Outstanding(); n != 0 {
+	if n := f.rx[1].lanes[0].Outstanding(); n != 0 {
 		t.Errorf("%d arena blocks leaked", n)
 	}
 }
