@@ -45,40 +45,24 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"os"
-	"os/exec"
 	"strings"
-	"sync"
 	"time"
 
+	"samsys/cmd/internal/clusterflags"
 	"samsys/internal/apps/cholesky"
 	"samsys/internal/apps/sparse"
 	"samsys/internal/core"
 	"samsys/internal/fabric"
 	"samsys/internal/fabric/faultfab"
 	"samsys/internal/fabric/netfab"
-	"samsys/internal/machine"
 	"samsys/internal/pack"
 	"samsys/internal/trace"
 )
 
 var (
+	cluster     = clusterflags.Bind(flag.CommandLine)
 	appName     = flag.String("app", "counter", "application: counter | cholesky")
-	nNodes      = flag.Int("n", 2, "cluster size (OS processes)")
-	rank        = flag.Int("rank", -1, "rank to join as; -1 spawns the whole cluster locally")
-	rendezvous  = flag.String("rendezvous", "", "address of rank 0's listener (required for rank > 0)")
-	listen      = flag.String("listen", "", "listen address (rank 0 should pick a port peers can name)")
-	fabricName  = flag.String("fabric", "tcp", "data-link transport: tcp | shm (shm lanes between co-located ranks, TCP across hosts)")
-	shmDir      = flag.String("shm-dir", "", "directory for this rank's shm lane segments (default shmfab's, typically /dev/shm)")
-	profName    = flag.String("profile", "cm5", "machine profile for cost accounting")
-	bootTimeout = flag.Duration("boot-timeout", 30*time.Second, "bootstrap and dial timeout")
-	linkRetry   = flag.Duration("link-retry", 0, "data-link outage budget before the fabric fails (0 = netfab default)")
-	writeTO     = flag.Duration("write-timeout", 0, "per-flush write deadline on data and ack frames (0 = netfab default)")
-	drainQuiet  = flag.Duration("drain-quiet", 0, "end-of-run link-quiet window (0 = netfab default)")
-	dialBackoff = flag.Duration("dial-backoff", 0, "initial dial-retry delay (0 = netfab default)")
-	dialBackMax = flag.Duration("dial-backoff-max", 0, "cap on the exponential dial-retry delay (0 = netfab default)")
 	tracePrefix = flag.String("trace", "", "dump transport trace to PREFIX-rank<K>.jsonl")
 	checkTrace  = flag.String("check-trace", "", "replay comma-separated trace dumps through the checkers and exit")
 	faultSpec   = flag.String("fault", "", "fault schedule, e.g. 'delay:0>1@20+2ms,reset:0>1@100,crash:2@500'")
@@ -101,54 +85,19 @@ func run() error {
 	if *checkTrace != "" {
 		return replayDumps(strings.Split(*checkTrace, ","))
 	}
-	if *rank < 0 {
+	if *cluster.Rank < 0 {
 		return spawnCluster()
 	}
 	return joinAndRun()
 }
 
-// fabricOptions folds the timeout and transport flags into
-// netfab.Options; zero flag values leave the library defaults in force.
-func fabricOptions() (netfab.Options, error) {
-	o := netfab.Options{
-		Boot:           *bootTimeout,
-		LinkRetry:      *linkRetry,
-		Write:          *writeTO,
-		DrainQuiet:     *drainQuiet,
-		DialBackoff:    *dialBackoff,
-		DialBackoffMax: *dialBackMax,
-		ShmDir:         *shmDir,
-	}
-	switch *fabricName {
-	case "tcp":
-	case "shm":
-		// ShmAuto pairs ranks by hostname: co-located ranks get shm
-		// lanes, cross-host ranks keep TCP, so the same flag works for a
-		// single-host cluster and a multi-host one.
-		o.Shm = netfab.ShmAuto
-	default:
-		return o, fmt.Errorf("unknown -fabric %q (want tcp or shm)", *fabricName)
-	}
-	return o, nil
-}
-
 // joinAndRun joins the cluster as one rank and runs the application.
 func joinAndRun() error {
-	prof, err := machine.ByName(*profName)
+	cfg, err := cluster.Config()
 	if err != nil {
 		return err
 	}
-	fabOpts, err := fabricOptions()
-	if err != nil {
-		return err
-	}
-	fab, err := netfab.Join(netfab.Config{
-		Rank: *rank, N: *nNodes,
-		Rendezvous: *rendezvous,
-		Listen:     *listen,
-		Profile:    prof,
-		Opts:       fabOpts,
-	})
+	fab, err := netfab.Join(cfg)
 	if err != nil {
 		return err
 	}
@@ -196,7 +145,7 @@ func joinAndRun() error {
 		if rec.Dropped() > 0 {
 			return fmt.Errorf("trace recorder dropped %d events; dumps would be unsound", rec.Dropped())
 		}
-		path := fmt.Sprintf("%s-rank%d.jsonl", *tracePrefix, *rank)
+		path := fmt.Sprintf("%s-rank%d.jsonl", *tracePrefix, fab.Rank())
 		f, err := os.Create(path)
 		if err != nil {
 			return err
@@ -295,34 +244,8 @@ func runCholesky(fab *netfab.Fab, run fabric.Fabric) error {
 // spawnCluster re-executes this binary once per rank on localhost and
 // waits for the whole cluster.
 func spawnCluster() error {
-	// Children always receive an explicit -rank; reaching spawn mode with
-	// this set means flag parsing went wrong in a child. Refuse rather
-	// than fork recursively.
-	if os.Getenv("SAMNODE_CHILD") != "" {
-		return fmt.Errorf("refusing to spawn: already a spawned child (bad flags?), args %q", os.Args[1:])
-	}
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	addr, err := freeLoopbackAddr()
-	if err != nil {
-		return err
-	}
-	if _, err := fabricOptions(); err != nil {
-		return err // reject a bad -fabric before forking N children
-	}
-	common := []string{
+	args := []string{
 		"-app", *appName,
-		"-n", fmt.Sprint(*nNodes),
-		"-fabric", *fabricName,
-		"-profile", *profName,
-		"-boot-timeout", bootTimeout.String(),
-		"-link-retry", linkRetry.String(),
-		"-write-timeout", writeTO.String(),
-		"-drain-quiet", drainQuiet.String(),
-		"-dial-backoff", dialBackoff.String(),
-		"-dial-backoff-max", dialBackMax.String(),
 		"-grid", fmt.Sprint(*gridDim),
 		"-block", fmt.Sprint(*blockSize),
 		// Bool flags must use the -flag=value form: a separate value
@@ -330,49 +253,24 @@ func spawnCluster() error {
 		// flag parsing in the child.
 		"-push=" + fmt.Sprint(*push),
 	}
-	if *shmDir != "" {
-		common = append(common, "-shm-dir", *shmDir)
-	}
 	if *tracePrefix != "" {
-		common = append(common, "-trace", *tracePrefix)
+		args = append(args, "-trace", *tracePrefix)
 	}
 	if *faultSpec != "" {
-		common = append(common, "-fault", *faultSpec)
+		args = append(args, "-fault", *faultSpec)
 	}
 	if *dumpL != "" {
-		common = append(common, "-dump-l", *dumpL)
+		args = append(args, "-dump-l", *dumpL)
 	}
-	var mu sync.Mutex // serializes output lines across children
-	cmds := make([]*exec.Cmd, *nNodes)
-	for k := 0; k < *nNodes; k++ {
-		args := append([]string{}, common...)
-		args = append(args, "-rank", fmt.Sprint(k))
-		if k == 0 {
-			args = append(args, "-listen", addr)
-		} else {
-			args = append(args, "-rendezvous", addr)
-		}
-		cmd := exec.Command(self, args...)
-		cmd.Env = append(os.Environ(), "SAMNODE_CHILD=1")
-		out := &prefixWriter{prefix: fmt.Sprintf("[rank %d] ", k), w: os.Stdout, mu: &mu}
-		cmd.Stdout = out
-		cmd.Stderr = out
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("spawn rank %d: %w", k, err)
-		}
-		cmds[k] = cmd
+	cmds, err := cluster.Spawn("SAMNODE_CHILD", args)
+	if err != nil {
+		return err
 	}
-	var firstErr error
-	for k, cmd := range cmds {
-		if err := cmd.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("rank %d: %w", k, err)
-		}
-	}
-	if firstErr != nil {
-		return firstErr
+	if err := clusterflags.Wait(cmds); err != nil {
+		return err
 	}
 	if *tracePrefix != "" {
-		paths := make([]string, *nNodes)
+		paths := make([]string, len(cmds))
 		for k := range paths {
 			paths[k] = fmt.Sprintf("%s-rank%d.jsonl", *tracePrefix, k)
 		}
@@ -407,43 +305,4 @@ func replayDumps(paths []string) error {
 	fmt.Printf("trace ok: %d events across %d processes, per-link FIFO and conservation hold\n",
 		total, len(dumps))
 	return nil
-}
-
-// freeLoopbackAddr picks a currently free localhost port for the
-// rendezvous listener. The port is released before rank 0 rebinds it —
-// a benign race on a single machine, accepted to keep child processes
-// fully independent of the parent.
-func freeLoopbackAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
-}
-
-// prefixWriter prefixes each output line with the child's rank.
-type prefixWriter struct {
-	prefix string
-	w      io.Writer
-	mu     *sync.Mutex
-	buf    []byte
-}
-
-func (p *prefixWriter) Write(b []byte) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.buf = append(p.buf, b...)
-	for {
-		i := strings.IndexByte(string(p.buf), '\n')
-		if i < 0 {
-			return len(b), nil
-		}
-		line := p.buf[:i+1]
-		if _, err := io.WriteString(p.w, p.prefix+string(line)); err != nil {
-			return len(b), err
-		}
-		p.buf = p.buf[i+1:]
-	}
 }

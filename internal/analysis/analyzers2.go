@@ -136,8 +136,8 @@ func runReplyOnce(p *Pass) []Diagnostic {
 }
 
 // WireReg checks that every concrete type handed to the wire layer —
-// fabric Ctx.Send, an shm lane's (*shmfab.SendLane).Send,
-// (*wire.Encoder).Any, wire.Marshal, or a parameter a
+// fabric Ctx.Send, the runtime's rtnode.Link.Send, an shm lane's
+// (*shmfab.SendLane).Send, (*wire.Encoder).Any, wire.Marshal, or a parameter a
 // summary says flows there — has a wire.Register codec somewhere in the
 // analyzed packages. An unregistered payload panics only when a run
 // crosses a real network fabric; this catches it before any run. The

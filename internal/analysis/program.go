@@ -31,6 +31,7 @@ const (
 	fabricPkgPath = "samsys/internal/fabric"
 	wirePkgPath   = "samsys/internal/wire"
 	shmfabPkgPath = "samsys/internal/fabric/shmfab"
+	rtnodePkgPath = "samsys/internal/fabric/rtnode"
 )
 
 // Program is the whole-invocation view over a set of root packages.
@@ -699,9 +700,11 @@ func (prog *Program) borrowScan(pf *progFunc, sum *Summary) {
 // --- wire flow ---
 
 // wirePayloads returns the payload expressions call hands to the wire
-// layer: fabric Ctx.Send, (*shmfab.SendLane).Send (an shm lane encodes
-// its payload with the same wire registry the TCP path uses, so an
-// unregistered type panics there just as surely), (*wire.Encoder).Any,
+// layer: fabric Ctx.Send, the node runtime's rtnode.Link.Send (the hop
+// from a Ctx.Send to whichever transport the link table names),
+// (*shmfab.SendLane).Send (an shm lane encodes its payload with the same
+// wire registry the TCP path uses, so an unregistered type panics there
+// just as surely), (*wire.Encoder).Any,
 // wire.Marshal, and arguments flowing into a summarized callee's
 // wire-bound parameters.
 func (prog *Program) wirePayloads(p *Pass, call *ast.CallExpr) []ast.Expr {
@@ -709,11 +712,12 @@ func (prog *Program) wirePayloads(p *Pass, call *ast.CallExpr) []ast.Expr {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "Send":
-			if tv, ok := p.Pkg.Info.Types[sel.X]; ok && tv.Type != nil && len(call.Args) == 3 {
+			if tv, ok := p.Pkg.Info.Types[sel.X]; ok && tv.Type != nil {
 				switch {
-				case isNamedType(tv.Type, fabricPkgPath, "Ctx"):
+				case len(call.Args) == 3 && isNamedType(tv.Type, fabricPkgPath, "Ctx"):
 					out = append(out, call.Args[2])
-				case isNamedType(tv.Type, shmfabPkgPath, "SendLane"):
+				case len(call.Args) == 3 && isNamedType(tv.Type, shmfabPkgPath, "SendLane"),
+					len(call.Args) == 2 && isNamedType(tv.Type, rtnodePkgPath, "Link"):
 					out = append(out, call.Args[1])
 				}
 			}

@@ -3,11 +3,13 @@
 // an application process, and a message-handler context, exchanging
 // asynchronous messages.
 //
-// Two implementations exist. simfab runs programs on a deterministic
-// virtual-time cluster parameterized by a machine model; it is used for
-// every experiment in the paper reproduction. gofab runs the same programs
-// on real goroutines in real time, making the SAM library directly usable
-// as an in-process parallel programming system.
+// simfab runs programs on a deterministic virtual-time cluster
+// parameterized by a machine model; it is used for every experiment in the
+// paper reproduction. The real-time fabrics — gofab (goroutines in one
+// process), shmfab (shared-memory lanes) and netfab (one process per node
+// over TCP, with lanes between co-located ranks) — share one node runtime,
+// rtnode, and differ only in the table of links a message leaves through.
+// faultfab wraps any of them with a deterministic fault schedule.
 package fabric
 
 import (
@@ -38,7 +40,7 @@ type Ctx interface {
 	N() int
 	// Profile returns the machine model the fabric runs.
 	Profile() machine.Profile
-	// Now returns the current time (virtual on simfab, wall on gofab).
+	// Now returns the current time (virtual on simfab, wall otherwise).
 	Now() sim.Time
 	// Charge occupies this node's CPU for d, accounted to category cat.
 	Charge(cat int, d sim.Time)

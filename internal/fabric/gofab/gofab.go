@@ -1,75 +1,28 @@
 // Package gofab implements the fabric on real goroutines in real time,
 // making SAM usable as an in-process parallel programming library rather
-// than a simulation. Each node is one goroutine; incoming messages are
-// handled whenever the node is inside a fabric call (waiting, sending or
-// charging), which mirrors the polling network access of the original
-// CM-5 runtime and preserves the invariant that a node's application and
-// handler code never run concurrently.
+// than a simulation. It is the node runtime (internal/fabric/rtnode) with
+// the simplest link table there is: every send is pushed straight into the
+// destination node's inbox, so messages are handed over as pointers and
+// nothing is encoded.
 //
 // Charges do not sleep: real work takes real time, and Charge only
 // accounts the modeled duration so cost breakdowns remain available.
 package gofab
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
 	"samsys/internal/fabric"
+	"samsys/internal/fabric/rtnode"
 	"samsys/internal/machine"
-	"samsys/internal/sim"
-	"samsys/internal/stats"
 	"samsys/internal/trace"
 )
 
-// inboxCap bounds each node's message queue. Sends block when the
-// destination queue is full, which throttles runaway producers.
-const inboxCap = 1 << 16
+// Fab is a real-time in-process cluster. It shows this much of its
+// rtnode.Cluster and no more: live nodes and link tables stay inside.
+type Fab struct{ cluster }
 
-// inMsg is a queued message plus its per-link sequence number (0 when
-// tracing is off).
-type inMsg struct {
-	m   fabric.Message
-	seq int64
-}
-
-// Fab is a real-time in-process cluster.
-type Fab struct {
-	n        int
-	prof     machine.Profile
-	handler  fabric.Handler
-	inboxes  []chan inMsg
-	counters []stats.Counters
-	acct     [][]int64 // [node][cat] nanoseconds, guarded by node goroutine
-	mu       []sync.Mutex
-	start    time.Time
-	elapsed  sim.Time
-	ran      bool
-	done     chan struct{} // closed when every app body has returned
-
-	tr *trace.Recorder
-	// linkSeq[src][dst] is only touched by src's goroutine: race-free.
-	linkSeq [][]int64
-}
-
-// SetTracer attaches an event recorder; events are stamped with wall
-// time since Run started. Call before Run; pass nil to detach.
-func (f *Fab) SetTracer(r *trace.Recorder) {
-	f.tr = r
-	if r == nil {
-		f.linkSeq = nil
-		return
-	}
-	r.SetClock(func() sim.Time {
-		if f.start.IsZero() {
-			return 0
-		}
-		return sim.Time(time.Since(f.start))
-	})
-	f.linkSeq = make([][]int64, f.n)
-	for i := range f.linkSeq {
-		f.linkSeq[i] = make([]int64, f.n)
-	}
+type cluster interface {
+	fabric.Fabric
+	SetTracer(*trace.Recorder)
 }
 
 // New creates an n-node in-process cluster. The profile is used only for
@@ -78,213 +31,8 @@ func New(prof machine.Profile, n int) *Fab {
 	if n < 1 {
 		panic("gofab: need at least one node")
 	}
-	f := &Fab{
-		n: n, prof: prof,
-		inboxes:  make([]chan inMsg, n),
-		counters: make([]stats.Counters, n),
-		acct:     make([][]int64, n),
-		mu:       make([]sync.Mutex, n),
-	}
-	for i := range f.inboxes {
-		f.inboxes[i] = make(chan inMsg, inboxCap)
-		f.acct[i] = make([]int64, stats.NumCat)
-	}
-	return f
+	// Inbox links deliver synchronously, so there is no tail to wait out.
+	cl := rtnode.NewCluster(prof, n, 0)
+	cl.LinkInboxes()
+	return &Fab{cl}
 }
-
-// N returns the node count.
-func (f *Fab) N() int { return f.n }
-
-// Profile returns the machine profile used for accounting.
-func (f *Fab) Profile() machine.Profile { return f.prof }
-
-// SetHandler installs the message handler.
-func (f *Fab) SetHandler(h fabric.Handler) { f.handler = h }
-
-// Counters returns node i's counters. Safe to read after Run returns.
-func (f *Fab) Counters(node int) *stats.Counters { return &f.counters[node] }
-
-// Elapsed returns the wall-clock duration of the run.
-func (f *Fab) Elapsed() sim.Time { return f.elapsed }
-
-// Run launches one goroutine per node and returns when all complete.
-func (f *Fab) Run(app func(c fabric.Ctx)) error {
-	if f.ran {
-		return fmt.Errorf("gofab: Run called twice")
-	}
-	f.ran = true
-	f.done = make(chan struct{})
-	f.start = time.Now()
-	var appWg, drainWg sync.WaitGroup
-	appWg.Add(f.n)
-	drainWg.Add(f.n)
-	for i := 0; i < f.n; i++ {
-		c := &ctx{fab: f, node: i}
-		go func() {
-			defer drainWg.Done()
-			app(c)
-			appWg.Done()
-			// Keep draining protocol messages until every app is done,
-			// so other nodes' fetches to this node still get served.
-			c.drainUntil(f.done)
-		}()
-	}
-	appWg.Wait()
-	close(f.done)
-	drainWg.Wait()
-	f.elapsed = sim.Time(time.Since(f.start))
-	return nil
-}
-
-// Report returns the cost breakdown accumulated by Charge calls.
-func (f *Fab) Report() []stats.NodeReport {
-	reports := make([]stats.NodeReport, f.n)
-	for i := 0; i < f.n; i++ {
-		r := stats.NodeReport{Node: i, Total: f.elapsed}
-		for c := 0; c < stats.NumCat; c++ {
-			r.Acct[c] = sim.Time(f.acct[i][c])
-		}
-		reports[i] = r
-	}
-	return reports
-}
-
-// ctx is one node's execution context; all its methods run on the node's
-// goroutine.
-type ctx struct {
-	fab  *Fab
-	node int
-}
-
-func (c *ctx) Node() int                 { return c.node }
-func (c *ctx) N() int                    { return c.fab.n }
-func (c *ctx) Profile() machine.Profile  { return c.fab.prof }
-func (c *ctx) Now() sim.Time             { return sim.Time(time.Since(c.fab.start)) }
-func (c *ctx) Counters() *stats.Counters { return &c.fab.counters[c.node] }
-
-// Charge accounts modeled time and polls the inbox; it does not sleep.
-func (c *ctx) Charge(cat int, d sim.Time) {
-	c.fab.acct[c.node][cat] += int64(d)
-	c.poll()
-}
-
-func (c *ctx) ChargeFlops(cat int, flops float64) {
-	c.Charge(cat, c.fab.prof.FlopTime(flops))
-}
-
-// Send delivers the message to the destination queue and polls.
-func (c *ctx) Send(dst, size int, payload any) {
-	if dst < 0 || dst >= c.fab.n {
-		panic(fmt.Sprintf("gofab: send to invalid node %d", dst))
-	}
-	cnt := c.Counters()
-	cnt.Messages++
-	cnt.BytesSent += int64(size)
-	im := inMsg{m: fabric.Message{Src: c.node, Dst: dst, Size: size, Payload: payload}}
-	if tr := c.fab.tr; tr != nil {
-		c.fab.linkSeq[c.node][dst]++
-		im.seq = c.fab.linkSeq[c.node][dst]
-		tr.Emit(trace.Event{Node: int32(c.node), Kind: trace.EvMsgSend,
-			Peer: int32(dst), Size: int64(size), Aux: im.seq})
-	}
-	for {
-		select {
-		case c.fab.inboxes[dst] <- im:
-			c.poll()
-			return
-		default:
-		}
-		// Destination full: service our own queue to avoid deadlock (the
-		// destination may itself be blocked sending to us), then retry.
-		// The non-blocking attempt above must come first: handlers may
-		// re-enter Send for the same destination, and taking a message
-		// while the queue has room would deliver the nested message's
-		// link sequence number before ours. The select blocks until one
-		// side makes progress, so a stalled sender burns no CPU.
-		select {
-		case c.fab.inboxes[dst] <- im:
-			c.poll()
-			return
-		case in := <-c.fab.inboxes[c.node]:
-			c.handle(in)
-		}
-	}
-}
-
-// handle records the delivery (when tracing) and runs the handler.
-func (c *ctx) handle(im inMsg) {
-	if tr := c.fab.tr; tr != nil {
-		tr.Emit(trace.Event{Node: int32(c.node), Kind: trace.EvMsgDeliver,
-			Peer: int32(im.m.Src), Size: int64(im.m.Size), Aux: im.seq})
-	}
-	c.fab.handler(c, im.m)
-}
-
-// poll handles all currently queued messages without blocking.
-func (c *ctx) poll() {
-	for {
-		select {
-		case im := <-c.fab.inboxes[c.node]:
-			c.handle(im)
-		default:
-			return
-		}
-	}
-}
-
-// drainUntil keeps serving protocol messages after the app body returns,
-// until every node's app is done. The node sleeps on its inbox — an idle
-// node burns no CPU — and wakes either for a message or for the
-// end-of-run signal.
-func (c *ctx) drainUntil(done chan struct{}) {
-	for {
-		select {
-		case im := <-c.fab.inboxes[c.node]:
-			c.handle(im)
-		case <-done:
-			// Serve anything that raced in before the close; the protocol
-			// is quiescent once every app has passed its final barrier.
-			c.poll()
-			return
-		}
-	}
-}
-
-// NewEvent creates a one-shot event.
-func (c *ctx) NewEvent() fabric.Event { return &event{ch: make(chan struct{})} }
-
-// event is a channel-backed one-shot event.
-type event struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-func (e *event) Signal() { e.once.Do(func() { close(e.ch) }) }
-
-func (e *event) Done() bool {
-	select {
-	case <-e.ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// Wait services the node's inbox until the event fires, accounting the
-// blocked wall time to the given category.
-func (e *event) Wait(fc fabric.Ctx, reason int) {
-	c := fc.(*ctx)
-	start := time.Now()
-	for {
-		select {
-		case <-e.ch:
-			c.fab.acct[c.node][reason] += int64(time.Since(start))
-			return
-		case im := <-c.fab.inboxes[c.node]:
-			c.handle(im)
-		}
-	}
-}
-
-var _ fabric.Fabric = (*Fab)(nil)
-var _ fabric.Ctx = (*ctx)(nil)

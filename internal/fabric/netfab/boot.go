@@ -49,8 +49,7 @@ type bootState struct {
 	regCh chan registration
 
 	mu        sync.Mutex
-	ctrl      []net.Conn // rank 0: control conns indexed by rank (nil for 0)
-	ctrlConn  net.Conn   // rank > 0: connection to the rendezvous node
+	ctrl      []net.Conn // control conns by rank: rank 0 has one per peer, a peer only ctrl[0]
 	doneCount int        // rank 0: application processes finished so far
 	announced bool
 }
@@ -78,7 +77,6 @@ func sendCtrl(conn net.Conn, body []byte) error {
 // broadcast the address map, run the ready barrier, release everyone.
 func (f *Fab) bootstrapRendezvous(deadline time.Time) error {
 	b := f.boot
-	b.ctrl = make([]net.Conn, f.n)
 	f.addrs[0] = f.ln.Addr().String()
 	f.bootID = newBootID()
 	f.hostIDs[0], f.shmDirs[0] = f.hostID, f.shmDir
@@ -103,12 +101,14 @@ func (f *Fab) bootstrapRendezvous(deadline time.Time) error {
 				return fmt.Errorf("netfab: rank %d has wire registry hash %#x, rendezvous has %#x (binaries differ)",
 					r.rank, r.hash, wire.Hash())
 			}
+			b.mu.Lock() // propagateAbort may already be reading
 			b.ctrl[r.rank] = r.conn
+			b.mu.Unlock()
 			f.addrs[r.rank] = r.addr
 			f.hostIDs[r.rank], f.shmDirs[r.rank] = r.host, r.shmDir
 			// The ready ack and later the done report arrive on this
 			// connection; one goroutine per peer consumes them.
-			go f.ctrlReadLoop(r.conn, r.br, r.rank)
+			go f.ctrlReadLoop(r.br, r.rank)
 		case <-timeout.C:
 			return fmt.Errorf("netfab: bootstrap timeout: %d of %d peers registered", got, f.n-1)
 		}
@@ -140,8 +140,8 @@ func (f *Fab) bootstrapRendezvous(deadline time.Time) error {
 	case <-f.ready:
 	case <-timeout.C:
 		return fmt.Errorf("netfab: bootstrap timeout waiting for ready acks")
-	case <-f.fail:
-		return f.err()
+	case <-f.g.Failed():
+		return f.g.Err()
 	}
 	release := ctrlFrame(frGo, nil)
 	for rank := 1; rank < f.n; rank++ {
@@ -154,43 +154,38 @@ func (f *Fab) bootstrapRendezvous(deadline time.Time) error {
 	return f.openShmLanes()
 }
 
-// ctrlReadLoop consumes control frames from one peer on rank 0: the ready
-// ack during bootstrap, then the done report at end of run.
-func (f *Fab) ctrlReadLoop(conn net.Conn, br *bufio.Reader, rank int) {
+// ctrlReadLoop consumes the control frames one peer sends after bootstrap.
+// On rank 0 (one loop per peer) those are the ready ack, then the done
+// report at end of run; on every other rank (one loop, peer 0) the
+// all-done broadcast. An abort notice can arrive on either side.
+func (f *Fab) ctrlReadLoop(br *bufio.Reader, peer int) {
 	for {
 		body, err := readFrame(br)
 		if err != nil {
 			// EOF after the end-of-run barrier is the peer shutting down.
-			if !f.closing.Load() && !f.ended() {
-				f.fatalf("control link to rank %d lost: %v", rank, err)
+			if !f.closing.Load() && !f.g.Finished() {
+				f.fatalf("control link to rank %d lost: %v", peer, err)
 			}
 			return
 		}
 		d := wire.NewDecoder(body)
-		switch kind := d.Uint8(); kind {
-		case frReady:
+		switch kind := d.Uint8(); {
+		case kind == frReady && f.rank == 0:
 			f.readyOnce()
-		case frDone:
+		case kind == frDone && f.rank == 0:
 			f.peerDone()
-		case frAbort:
+		case kind == frAllDone && f.rank != 0:
+			f.g.Finish()
+			return
+		case kind == frAbort:
 			origin := d.Int()
 			reason := d.String()
 			f.fatalf("rank %d aborted: %s", origin, reason)
 			return
 		default:
-			f.fatalf("unexpected control frame %d from rank %d", kind, rank)
+			f.fatalf("unexpected control frame %d from rank %d", kind, peer)
 			return
 		}
-	}
-}
-
-// ended reports whether the end-of-run barrier has completed.
-func (f *Fab) ended() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -227,7 +222,7 @@ func (f *Fab) maybeAllDoneLocked() {
 			f.fatalf("alldone to rank %d: %v", rank, err)
 		}
 	}
-	close(f.done)
+	f.g.Finish()
 }
 
 // bootstrapJoin runs a non-zero rank's side: dial the rendezvous node with
@@ -237,7 +232,9 @@ func (f *Fab) bootstrapJoin(rendezvous string, deadline time.Time) error {
 	if err != nil {
 		return fmt.Errorf("netfab: rendezvous %s: %w", rendezvous, err)
 	}
-	f.boot.ctrlConn = conn
+	f.boot.mu.Lock()
+	f.boot.ctrl[0] = conn
+	f.boot.mu.Unlock()
 	reg := ctrlFrame(frRegister, func(e *wire.Encoder) {
 		e.Int(f.rank)
 		e.Int(f.n)
@@ -300,28 +297,7 @@ func (f *Fab) bootstrapJoin(rendezvous string, deadline time.Time) error {
 	}
 	conn.SetReadDeadline(time.Time{})
 	// From here the connection carries only the end-of-run barrier.
-	go func() {
-		for {
-			body, err := readFrame(br)
-			if err != nil {
-				if !f.closing.Load() && !f.ended() {
-					f.fatalf("control link to rendezvous lost: %v", err)
-				}
-				return
-			}
-			d := wire.NewDecoder(body)
-			switch kind := d.Uint8(); kind {
-			case frAllDone:
-				close(f.done)
-				return
-			case frAbort:
-				origin := d.Int()
-				reason := d.String()
-				f.fatalf("rank %d aborted: %s", origin, reason)
-				return
-			}
-		}
-	}()
+	go f.ctrlReadLoop(br, 0)
 	return nil
 }
 
@@ -332,7 +308,7 @@ func (f *Fab) appDone() {
 		return
 	}
 	f.boot.mu.Lock()
-	conn := f.boot.ctrlConn
+	conn := f.boot.ctrl[0]
 	f.boot.mu.Unlock()
 	if err := sendCtrl(conn, ctrlFrame(frDone, func(e *wire.Encoder) { e.Int(f.rank) })); err != nil {
 		f.fatalf("done report: %v", err)

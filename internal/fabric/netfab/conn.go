@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"samsys/internal/fabric/rtnode"
 	"samsys/internal/trace"
 	"samsys/internal/wire"
 )
@@ -118,9 +119,10 @@ func dialRetry(addr string, deadline time.Time, backoff, backoffMax time.Duratio
 	}
 }
 
-// outCap bounds each outgoing peer queue (frames). A full queue makes Send
-// service the local inbox while retrying, mirroring gofab's backpressure.
-const outCap = 1 << 12
+// outCap bounds each outgoing peer queue (frames). A full queue parks Send
+// in rtnode.Queue, which keeps serving the local inbox meanwhile. Read when
+// a link first dials; a variable only so the full-queue tests can shrink it.
+var outCap = 1 << 12
 
 // outFrame is one queued data frame plus its per-link sequence number;
 // the sequence orders the resend window and lets acks trim it. body
@@ -133,20 +135,59 @@ type outFrame struct {
 	enc  *wire.Encoder
 }
 
-// peer is one outgoing data link: a dialed connection, a writer goroutine
-// that batches queued frames into single flushes and keeps the
-// unacknowledged window for resend, and one ack-reader goroutine per
-// connection incarnation.
+// peer is one outgoing data link, the TCP entry of the node's link table:
+// a connection dialed on first send, a writer goroutine that batches queued
+// frames into single flushes and keeps the unacknowledged window for
+// resend, and one ack-reader goroutine per connection incarnation.
 type peer struct {
-	dst    int
-	out    chan outFrame
+	f   *Fab
+	dst int
+	seq int64                   // last sequence number issued; app goroutine only
+	q   *rtnode.Queue[outFrame] // to the writer; nil until the first send dials
+
 	notify chan struct{} // coalesced ping: ack progress or connection error
 
 	mu      sync.Mutex
-	conn    net.Conn // current connection (InjectLinkReset closes it)
+	conn    net.Conn // current connection; nil once closed (Reset, redial)
 	gen     int      // connection incarnation; stale ack readers go quiet
 	acked   int64    // cumulative acked seq from the receiver
 	connErr bool     // current incarnation saw a read error (ack side)
+}
+
+// Send encodes the message, numbers it and queues it for the writer. The
+// payload type must be wire-registered; unregistered payloads panic at the
+// sender, where the stack identifies the culprit.
+func (p *peer) Send(size int, payload any) {
+	p.seq++
+	e := wire.GetEncoder()
+	e.Uint8(frData)
+	e.Int(size)
+	e.Varint(p.seq)
+	e.Any(payload)
+	p.f.node.Emit(trace.EvMsgSend, p.dst, size, p.seq, 0)
+	if p.q == nil {
+		p.f.dial(p)
+	}
+	// The encoder rides along; trimAcked recycles it once the receiver
+	// has accepted the frame and no resend can need the bytes.
+	p.q.Put(outFrame{seq: p.seq, body: e.Bytes(), enc: e})
+}
+
+// Reset abruptly closes the current connection, exercising the
+// redial-and-resend path. A link never dialed has nothing to reset.
+func (p *peer) Reset() bool {
+	if p.q == nil {
+		return false
+	}
+	p.closeConn()
+	return true
+}
+
+// Close ends the out-queue; the writer flushes and closes the connection.
+func (p *peer) Close() {
+	if p.q != nil {
+		p.q.Close()
+	}
 }
 
 // ping wakes the writer without blocking; multiple pings coalesce.
@@ -203,23 +244,28 @@ func (f *Fab) sendHello(conn net.Conn, resume bool) error {
 	return bw.Flush()
 }
 
-// newPeer dials dst's listener, sends the link hello and starts the
-// batching writer and the ack reader.
-func (f *Fab) newPeer(dst int) (*peer, error) {
-	conn, err := dialRetry(f.addrs[dst], time.Now().Add(f.opts.Boot),
+// dial connects p to its destination's listener on first use, sends the
+// link hello and starts the batching writer and the ack reader. Only the
+// app goroutine sends, so no locking is needed. A link that cannot be
+// established is fatal.
+func (f *Fab) dial(p *peer) {
+	conn, err := dialRetry(f.addrs[p.dst], time.Now().Add(f.opts.Boot),
 		f.opts.DialBackoff, f.opts.DialBackoffMax)
+	if err == nil {
+		if err = f.sendHello(conn, false); err != nil {
+			conn.Close()
+			err = fmt.Errorf("hello: %w", err)
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("link %d->%d: %w", f.rank, dst, err)
+		f.fatalf("link %d->%d: %v", f.rank, p.dst, err)
+		panic(f.g.Err())
 	}
-	p := &peer{dst: dst, out: make(chan outFrame, outCap), notify: make(chan struct{}, 1)}
-	if err := f.sendHello(conn, false); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("link %d->%d: hello: %w", f.rank, dst, err)
-	}
+	out := make(chan outFrame, outCap)
+	p.q = rtnode.NewQueue(f.node, out)
 	gen := p.setConn(conn)
 	go f.ackLoop(p, conn, gen)
-	go f.writeLoop(p, conn)
-	return p, nil
+	go f.writeLoop(p, conn, out)
 }
 
 // ackLoop consumes cumulative acks flowing back on one incarnation of a
@@ -278,9 +324,10 @@ func trimAcked(unacked []outFrame, acked int64) []outFrame {
 // until the receiver's cumulative ack covers it; a connection error — a
 // real reset, a write timeout, or an injected fault — triggers a redial
 // and a resend of the whole window (the receiver suppresses duplicates by
-// sequence number). Closing p.out flushes and closes the connection.
-func (f *Fab) writeLoop(p *peer, conn net.Conn) {
+// sequence number). Closing the out-queue flushes and closes the connection.
+func (f *Fab) writeLoop(p *peer, conn net.Conn, out <-chan outFrame) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	stop := f.node.Closed()
 	var unacked []outFrame
 	fail := func() bool { // returns false when the link is lost for good
 		conn, bw = f.redial(p, &unacked)
@@ -299,7 +346,7 @@ func (f *Fab) writeLoop(p *peer, conn net.Conn) {
 			// Window full: wait for ack progress (or a link/fabric failure).
 			select {
 			case <-p.notify:
-			case <-f.stop:
+			case <-stop:
 				return
 			}
 			continue
@@ -307,10 +354,10 @@ func (f *Fab) writeLoop(p *peer, conn net.Conn) {
 		var of outFrame
 		var ok bool
 		select {
-		case of, ok = <-p.out:
+		case of, ok = <-out:
 		case <-p.notify:
 			continue
-		case <-f.stop:
+		case <-stop:
 			return
 		}
 		if !ok {
@@ -332,7 +379,7 @@ func (f *Fab) writeLoop(p *peer, conn net.Conn) {
 				break batch
 			}
 			select {
-			case of, ok = <-p.out:
+			case of, ok = <-out:
 				if !ok {
 					closed = true
 					break batch
@@ -376,10 +423,7 @@ func (f *Fab) redial(p *peer, unacked *[]outFrame) (net.Conn, *bufio.Writer) {
 	if f.closing.Load() {
 		return nil, nil
 	}
-	if tr := f.tr; tr != nil {
-		tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvLinkDown,
-			Peer: int32(p.dst), Aux: 1})
-	}
+	f.node.Emit(trace.EvLinkDown, p.dst, 0, 1, 0)
 	deadline := time.Now().Add(f.opts.LinkRetry)
 	for attempt := 1; ; attempt++ {
 		if f.closing.Load() {
@@ -427,10 +471,7 @@ func (f *Fab) redial(p *peer, unacked *[]outFrame) (net.Conn, *bufio.Writer) {
 			}
 			continue
 		}
-		if tr := f.tr; tr != nil {
-			tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvLinkRedial,
-				Peer: int32(p.dst), Aux: int64(attempt), Aux2: int64(len(*unacked))})
-		}
+		f.node.Emit(trace.EvLinkRedial, p.dst, 0, int64(attempt), int64(len(*unacked)))
 		return conn, bw
 	}
 }
@@ -530,7 +571,7 @@ func (f *Fab) sendAck(conn net.Conn, bw *bufio.Writer, seq int64) error {
 }
 
 // readLoop decodes data frames from one incarnation of an incoming link
-// and queues them on the node's inbox. Per-link FIFO and exactly-once
+// and hands them to Node.Deliver. Per-link FIFO and exactly-once
 // delivery are enforced structurally: under the link mutex a frame is
 // accepted only if its sequence number is exactly lastSeq+1 — smaller is a
 // duplicate from a resent window (suppressed, traced), larger is a hole
@@ -557,10 +598,7 @@ func (f *Fab) readLoop(conn net.Conn, br *bufio.Reader, src int, resume bool) {
 			// EOF after the cluster finished is the normal link teardown;
 			// any other error is the dialer's to repair.
 			if !f.closing.Load() && err != io.EOF {
-				if tr := f.tr; tr != nil {
-					tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvLinkDown,
-						Peer: int32(src), Aux: 0})
-				}
+				f.node.Emit(trace.EvLinkDown, src, 0, 0, 0)
 			}
 			return
 		}
@@ -579,10 +617,7 @@ func (f *Fab) readLoop(conn net.Conn, br *bufio.Reader, src int, resume bool) {
 		link.mu.Lock()
 		if seq <= link.lastSeq {
 			link.mu.Unlock()
-			if tr := f.tr; tr != nil {
-				tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvMsgDup,
-					Peer: int32(src), Aux: seq})
-			}
+			f.node.Emit(trace.EvMsgDup, src, 0, seq, 0)
 			continue
 		}
 		if seq != link.lastSeq+1 {
@@ -601,11 +636,9 @@ func (f *Fab) readLoop(conn net.Conn, br *bufio.Reader, src int, resume bool) {
 		// Enqueue under the link mutex: an overlapping readLoop for the
 		// same src (old + resumed connection) must not interleave
 		// out-of-order into the inbox.
-		select {
-		case f.inbox <- inMsg{m: fabricMsg(src, f.rank, size, payload), seq: seq}:
-			link.mu.Unlock()
-		case <-f.fail:
-			link.mu.Unlock()
+		ok := f.node.Deliver(src, size, payload, seq)
+		link.mu.Unlock()
+		if !ok {
 			return
 		}
 		if needAck {

@@ -79,7 +79,7 @@ func NewLocalOpts(prof machine.Profile, n int, opts Options) (*Cluster, error) {
 func (cl *Cluster) N() int { return cl.fabs[0].n }
 
 // Profile returns the machine profile used for accounting.
-func (cl *Cluster) Profile() machine.Profile { return cl.fabs[0].prof }
+func (cl *Cluster) Profile() machine.Profile { return cl.fabs[0].Profile() }
 
 // Fab returns one rank's fabric — for per-rank surfaces like
 // SetClientHandler and Addr that have no cluster-wide form.
@@ -115,9 +115,7 @@ func (cl *Cluster) Run(app func(c fabric.Ctx)) error {
 	}
 	wg.Wait()
 	for _, f := range cl.fabs {
-		if f.elapsed > cl.elapsed {
-			cl.elapsed = f.elapsed
-		}
+		cl.elapsed = max(cl.elapsed, f.elapsed)
 	}
 	return errors.Join(errs...)
 }
@@ -140,6 +138,13 @@ func (cl *Cluster) InjectLinkReset(src, dst int) bool {
 	return cl.fabs[src].InjectLinkReset(src, dst)
 }
 
+// ReleasePayload forwards to the owning rank's Fab.
+func (cl *Cluster) ReleasePayload(node int, item any) {
+	if node >= 0 && node < len(cl.fabs) {
+		cl.fabs[node].ReleasePayload(node, item)
+	}
+}
+
 // Elapsed returns the longest per-node run time.
 func (cl *Cluster) Elapsed() sim.Time { return cl.elapsed }
 
@@ -152,10 +157,10 @@ func (cl *Cluster) Counters(node int) *stats.Counters {
 func (cl *Cluster) Report() []stats.NodeReport {
 	reports := make([]stats.NodeReport, len(cl.fabs))
 	for i, f := range cl.fabs {
-		reports[i] = f.Report()[i]
-		reports[i].Total = cl.elapsed
+		reports[i] = f.node.Report(cl.elapsed)
 	}
 	return reports
 }
 
 var _ fabric.Fabric = (*Cluster)(nil)
+var _ fabric.PayloadReleaser = (*Cluster)(nil)

@@ -6,12 +6,12 @@
 // where a shared object's bits must travel through a network to move
 // between nodes.
 //
-// Execution semantics mirror gofab exactly: the application runs on the
-// caller's goroutine, and incoming messages are handled only while the
-// application is inside a fabric call (Charge, Send, Event.Wait) — the
-// polling network access of the CM-5 runtime. A node's application and
-// handler code therefore never run concurrently, with no locking in the
-// message path.
+// A Fab is one node of the shared real-time runtime (internal/fabric/
+// rtnode) — the same execution context, inbox, polling, drain and abort
+// code gofab and shmfab run — plus what only a networked rank needs: a
+// listener, the rendezvous and end-of-run control plane, and a link table
+// filled at rendezvous with one TCP link or one shared-memory lane per
+// destination (shm.go).
 //
 // Messages are encoded with the internal/wire codec (self-describing,
 // canonical), framed with a uvarint length prefix, and carried on
@@ -27,11 +27,13 @@ package netfab
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"samsys/internal/fabric"
+	"samsys/internal/fabric/rtnode"
 	"samsys/internal/fabric/shmfab"
 	"samsys/internal/machine"
 	"samsys/internal/sim"
@@ -39,19 +41,6 @@ import (
 	"samsys/internal/trace"
 	"samsys/internal/wire"
 )
-
-// inboxCap bounds the local message queue, mirroring gofab.
-const inboxCap = 1 << 16
-
-// inMsg is a queued message plus its per-link sequence number.
-type inMsg struct {
-	m   fabric.Message
-	seq int64
-}
-
-func fabricMsg(src, dst, size int, payload any) fabric.Message {
-	return fabric.Message{Src: src, Dst: dst, Size: size, Payload: payload}
-}
 
 // Config describes one node's membership in a cluster.
 type Config struct {
@@ -81,47 +70,35 @@ type Config struct {
 // local rank and zeros elsewhere.
 type Fab struct {
 	rank, n int
-	prof    machine.Profile
-	handler fabric.Handler
+	node    *rtnode.Node  // the rank's runtime; its link table is filled at rendezvous
+	g       *rtnode.Group // this rank's clock, first error and all-done signal
 
 	ln      net.Listener
 	addrs   []string
 	boot    *bootState
-	inbox   chan inMsg
-	peers   []*peer   // lazily dialed; touched only by the app goroutine
 	inLinks []*inLink // receive-side per-src watermark state
 
 	opts       Options
 	ready      chan struct{} // rank 0: all peers acked the address map
 	readyCount int           // guarded by boot.mu
-	done       chan struct{} // closed when every rank's app has finished
 
-	// Hybrid shared-memory state (see shm.go). hostID/shmDir are this
+	// Shared-memory pairing state (see shm.go). hostID/shmDir are this
 	// rank's advertisement (empty: no shm); hostIDs/shmDirs are the
 	// cluster-wide maps learned at bootstrap; bootID names this run's
-	// segment files. shmSend is indexed by peer rank, nil for TCP peers;
-	// shmRx holds the inbound lanes and is nil without a co-located peer.
+	// segment files. shmRx and lanes (outbound, by peer rank) are kept
+	// only from segment creation before the ready barrier to the opening
+	// of the peers' ends after it; then the node's inlet and link table own them.
 	hostID, shmDir, bootID string
 	hostIDs, shmDirs       []string
-	shmSend                []*shmfab.SendLane
 	shmRx                  *shmfab.Receiver
+	lanes                  []*shmfab.SendLane
 
-	closing atomic.Bool
-	stop    chan struct{} // closed by shutdown; unblocks writer goroutines
-	fail    chan struct{}
-	failMu  sync.Mutex
-	failErr error
-	aborted atomic.Bool // an abort notice was already propagated
+	closing   atomic.Bool
+	abortSent chan struct{} // closed once a failed rank has told the cluster
 
-	counters []stats.Counters
-	acct     [stats.NumCat]int64
-	sendSeq  []int64 // per-destination link sequence, app goroutine only
-	start    time.Time
-	startNS  atomic.Int64 // start as unix nanos; read by the tracer clock
-	elapsed  sim.Time
-	ran      bool
-
-	tr *trace.Recorder
+	remote  []stats.Counters // zeros: other ranks' counters live in their processes
+	elapsed sim.Time
+	ran     bool
 
 	clientMu      sync.Mutex // guards clientHandler (see client.go)
 	clientHandler ClientHandler
@@ -153,27 +130,29 @@ func Join(cfg Config) (*Fab, error) {
 			return nil, fmt.Errorf("netfab: listen %s: %w", addr, err)
 		}
 	}
+	g := rtnode.NewGroup()
 	f := &Fab{
-		rank: cfg.Rank, n: cfg.N, prof: cfg.Profile,
-		ln:       ln,
-		addrs:    make([]string, cfg.N),
-		boot:     &bootState{regCh: make(chan registration, cfg.N)},
-		inbox:    make(chan inMsg, inboxCap),
-		peers:    make([]*peer, cfg.N),
-		inLinks:  make([]*inLink, cfg.N),
-		opts:     opts,
-		ready:    make(chan struct{}),
-		done:     make(chan struct{}),
-		stop:     make(chan struct{}),
-		fail:     make(chan struct{}),
-		counters: make([]stats.Counters, cfg.N),
-		sendSeq:  make([]int64, cfg.N),
-		hostIDs:  make([]string, cfg.N),
-		shmDirs:  make([]string, cfg.N),
-		shmSend:  make([]*shmfab.SendLane, cfg.N),
+		rank: cfg.Rank, n: cfg.N, g: g,
+		node:      rtnode.New(g, cfg.Rank, cfg.N, cfg.Profile, opts.DrainQuiet),
+		ln:        ln,
+		addrs:     make([]string, cfg.N),
+		boot:      &bootState{regCh: make(chan registration, cfg.N), ctrl: make([]net.Conn, cfg.N)},
+		inLinks:   make([]*inLink, cfg.N),
+		opts:      opts,
+		ready:     make(chan struct{}),
+		abortSent: make(chan struct{}),
+		remote:    make([]stats.Counters, cfg.N),
+		hostIDs:   make([]string, cfg.N),
+		shmDirs:   make([]string, cfg.N),
+		lanes:     make([]*shmfab.SendLane, cfg.N),
 	}
-	for i := range f.inLinks {
-		f.inLinks[i] = &inLink{}
+	// Every peer starts on TCP (dialed lazily, on first send); rendezvous
+	// replaces the entries of co-located peers with lanes.
+	for dst := range f.inLinks {
+		f.inLinks[dst] = &inLink{}
+		if dst != f.rank {
+			f.node.SetLink(dst, &peer{f: f, dst: dst, notify: make(chan struct{}, 1)})
+		}
 	}
 	f.resolveShm()
 	go f.acceptLoop()
@@ -198,15 +177,12 @@ func Join(cfg Config) (*Fab, error) {
 // also propagated over the control plane so the whole cluster fails in
 // bounded time instead of hanging on a dead rank (see propagateAbort).
 func (f *Fab) fatalf(format string, args ...any) {
-	f.failMu.Lock()
-	first := f.failErr == nil
-	if first {
-		f.failErr = fmt.Errorf("netfab: rank %d: %s", f.rank, fmt.Sprintf(format, args...))
-		close(f.fail)
-	}
-	f.failMu.Unlock()
-	if first {
-		go f.propagateAbort(fmt.Sprintf(format, args...))
+	reason := fmt.Sprintf(format, args...)
+	if f.g.Fail(fmt.Errorf("netfab: rank %d: %s", f.rank, reason)) {
+		go func() { // not inline: callers may hold boot.mu
+			f.propagateAbort(reason)
+			close(f.abortSent)
+		}()
 	}
 }
 
@@ -216,64 +192,31 @@ func (f *Fab) fatalf(format string, args ...any) {
 // knows. This is what turns a rank death into a clean, bounded-time error
 // from Run on every surviving rank instead of a hang.
 func (f *Fab) propagateAbort(reason string) {
-	if f.aborted.Swap(true) {
-		return
-	}
 	notice := ctrlFrame(frAbort, func(e *wire.Encoder) {
 		e.Int(f.rank)
 		e.String(reason)
 	})
 	f.boot.mu.Lock()
-	var conns []net.Conn
-	if f.rank == 0 {
-		for rank, c := range f.boot.ctrl {
-			if rank != 0 && c != nil {
-				conns = append(conns, c)
-			}
-		}
-	} else if f.boot.ctrlConn != nil {
-		conns = append(conns, f.boot.ctrlConn)
-	}
+	conns := slices.Clone(f.boot.ctrl)
 	f.boot.mu.Unlock()
 	for _, c := range conns {
-		c.SetWriteDeadline(time.Now().Add(f.opts.Write))
-		sendCtrl(c, notice)
+		if c != nil {
+			c.SetWriteDeadline(time.Now().Add(f.opts.Write))
+			sendCtrl(c, notice)
+		}
 	}
 }
 
-// InjectLinkReset abruptly closes the current outgoing data connection
-// src->dst, exercising the redial-and-resend path. It reports whether the
-// fault applied: true for a dialed link even if the connection is
+// InjectLinkReset injects a fault on the src->dst link: a TCP link's
+// current connection is closed abruptly, exercising the redial-and-resend
+// path; a lane is reinitialised in place. It reports whether the fault
+// applied: true for a dialed TCP link even if the connection is
 // momentarily down from an earlier reset (severing a severed link is an
 // idempotent no-op, not a skipped fault), false only when there is no
 // link to reset. Fault injection (faultfab) is the only intended caller;
 // it runs on the app goroutine of rank src.
 func (f *Fab) InjectLinkReset(src, dst int) bool {
-	if src != f.rank || dst < 0 || dst >= f.n || dst == f.rank {
-		return false
-	}
-	if sl := f.shmSend[dst]; sl != nil {
-		// Shm link: shared memory has no connection to sever, so the reset
-		// reinitializes the lane in place (the epoch advances, the events
-		// fire) and drops nothing — same contract as shmfab.Cluster.
-		sl.Reset()
-		if tr := f.tr; tr != nil {
-			tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvLinkDown, Peer: int32(dst), Aux: 1})
-			tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvLinkRedial, Peer: int32(dst), Aux: 1})
-		}
-		return true
-	}
-	p := f.peers[dst]
-	if p == nil {
-		return false // link never dialed; nothing to reset
-	}
-	p.mu.Lock()
-	c := p.conn
-	p.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-	return true
+	return src == f.rank && f.node.ResetLink(dst)
 }
 
 // InjectKill marks this rank fatally failed, as if its process had died:
@@ -288,21 +231,6 @@ func (f *Fab) InjectKill(rank int, reason string) bool {
 	return true
 }
 
-func (f *Fab) err() error {
-	f.failMu.Lock()
-	defer f.failMu.Unlock()
-	return f.failErr
-}
-
-// checkFail panics on the app goroutine with the stored fabric error.
-func (f *Fab) checkFail() {
-	select {
-	case <-f.fail:
-		panic(f.err())
-	default:
-	}
-}
-
 // N returns the cluster size.
 func (f *Fab) N() int { return f.n }
 
@@ -310,33 +238,26 @@ func (f *Fab) N() int { return f.n }
 func (f *Fab) Rank() int { return f.rank }
 
 // Profile returns the machine profile used for accounting.
-func (f *Fab) Profile() machine.Profile { return f.prof }
+func (f *Fab) Profile() machine.Profile { return f.node.Profile() }
 
 // SetHandler installs the message handler. Call before Run.
-func (f *Fab) SetHandler(h fabric.Handler) { f.handler = h }
+func (f *Fab) SetHandler(h fabric.Handler) { f.node.SetHandler(h) }
 
 // Counters returns node i's counters: live data for the local rank,
 // zeros for remote ranks (their counters live in their processes).
-func (f *Fab) Counters(node int) *stats.Counters { return &f.counters[node] }
+func (f *Fab) Counters(node int) *stats.Counters {
+	if node == f.rank {
+		return f.node.Counters()
+	}
+	return &f.remote[node]
+}
 
 // Elapsed returns the wall-clock duration of the run.
 func (f *Fab) Elapsed() sim.Time { return f.elapsed }
 
 // SetTracer attaches an event recorder; events are stamped with wall time
 // since Run started. Call before Run; pass nil to detach.
-func (f *Fab) SetTracer(r *trace.Recorder) {
-	f.tr = r
-	if r == nil {
-		return
-	}
-	r.SetClock(func() sim.Time {
-		s := f.startNS.Load()
-		if s == 0 {
-			return 0
-		}
-		return sim.Time(time.Now().UnixNano() - s)
-	})
-}
+func (f *Fab) SetTracer(r *trace.Recorder) { f.node.SetTracer(r) }
 
 // Report returns the cost breakdown for the local rank; remote entries are
 // zero apart from the node id.
@@ -345,82 +266,45 @@ func (f *Fab) Report() []stats.NodeReport {
 	for i := range reports {
 		reports[i] = stats.NodeReport{Node: i}
 	}
-	r := &reports[f.rank]
-	r.Total = f.elapsed
-	for c := 0; c < stats.NumCat; c++ {
-		r.Acct[c] = sim.Time(f.acct[c])
-	}
+	reports[f.rank] = f.node.Report(f.elapsed)
 	return reports
 }
 
+// ReleasePayload returns item's arena block (if any) to the inbound lane
+// that delivered it. Implements fabric.PayloadReleaser for the local rank.
+func (f *Fab) ReleasePayload(node int, item any) {
+	if node == f.rank {
+		f.node.ReleasePayload(item)
+	}
+}
+
 // Run executes app as this rank's application process and returns once
-// every rank in the cluster has finished. After the local app body
-// returns, the node keeps serving protocol messages (remote fetches of
-// locally-owned objects) until the end-of-run barrier completes.
-func (f *Fab) Run(app func(c fabric.Ctx)) (err error) {
+// every rank in the cluster has finished (the control plane's all-done
+// broadcast finishes the group) and the links have gone quiet.
+func (f *Fab) Run(app func(c fabric.Ctx)) error {
 	if f.ran {
 		return fmt.Errorf("netfab: Run called twice")
 	}
 	f.ran = true
-	f.start = time.Now()
-	f.startNS.Store(f.start.UnixNano())
-	if f.shmRx != nil {
-		// Frames sent by faster peers before this simply wait in their
-		// segments — shared memory is its own accept loop.
-		f.shmRx.Start()
-	}
-	c := &ctx{fab: f}
+	f.g.Start()
 	defer func() {
-		if r := recover(); r != nil {
-			if fe := f.err(); fe != nil {
-				err = fe
-			} else {
-				panic(r)
-			}
-		}
 		f.shutdown()
-		f.elapsed = sim.Time(time.Since(f.start))
-		if err == nil {
-			err = f.err()
-		}
+		f.elapsed = f.g.Now()
 	}()
-	app(c)
-	f.appDone()
-	// Post-app drain: serve remote requests until all ranks are done.
-	for {
-		select {
-		case <-f.done:
-			// Tail drain: a fire-and-forget note sent just before a peer
-			// reported done can still be in TCP flight when the all-done
-			// barrier completes. Keep serving until the link goes quiet so
-			// quiescent applications see every message delivered (which the
-			// trace conservation checker asserts).
-			for {
-				select {
-				case im := <-f.inbox:
-					c.handle(im)
-				case <-time.After(f.opts.DrainQuiet):
-					return nil
-				}
-			}
-		case im := <-f.inbox:
-			c.handle(im)
-		case <-f.fail:
-			return f.err()
-		}
-	}
+	return f.node.Run(app, f.appDone)
 }
 
-// shutdown tears down connections and the listener. Idempotent.
+// shutdown closes the node — its receive side, then every link — and
+// tears down the control connections and the listener. Idempotent.
 func (f *Fab) shutdown() {
 	if f.closing.Swap(true) {
 		return
 	}
-	close(f.stop)
-	for _, p := range f.peers {
-		if p != nil {
-			close(p.out) // writer flushes and closes the conn
-		}
+	f.node.Close()
+	if f.g.Err() != nil {
+		// The abort notice travels on the control connections closed
+		// below; a failed rank must not outrun its own last words.
+		<-f.abortSent
 	}
 	f.boot.mu.Lock()
 	for _, c := range f.boot.ctrl {
@@ -428,200 +312,9 @@ func (f *Fab) shutdown() {
 			c.Close()
 		}
 	}
-	if f.boot.ctrlConn != nil {
-		f.boot.ctrlConn.Close()
-	}
 	f.boot.mu.Unlock()
 	f.ln.Close()
-	f.closeShm()
-}
-
-// peer returns the data link to dst, dialing it on first use. Only the app
-// goroutine sends, so no locking is needed.
-func (f *Fab) peer(dst int) *peer {
-	if p := f.peers[dst]; p != nil {
-		return p
-	}
-	p, err := f.newPeer(dst)
-	if err != nil {
-		f.fatalf("%v", err)
-		panic(f.err())
-	}
-	f.peers[dst] = p
-	return p
-}
-
-// ctx is this rank's execution context; all methods run on the app
-// goroutine (handlers included — they run inside poll).
-type ctx struct {
-	fab *Fab
-}
-
-func (c *ctx) Node() int                 { return c.fab.rank }
-func (c *ctx) N() int                    { return c.fab.n }
-func (c *ctx) Profile() machine.Profile  { return c.fab.prof }
-func (c *ctx) Now() sim.Time             { return sim.Time(time.Since(c.fab.start)) }
-func (c *ctx) Counters() *stats.Counters { return &c.fab.counters[c.fab.rank] }
-
-// Charge accounts modeled time and polls the inbox; it does not sleep.
-func (c *ctx) Charge(cat int, d sim.Time) {
-	c.fab.acct[cat] += int64(d)
-	c.poll()
-}
-
-func (c *ctx) ChargeFlops(cat int, flops float64) {
-	c.Charge(cat, c.fab.prof.FlopTime(flops))
-}
-
-// Send encodes the message and queues it on the destination link. The
-// payload type must be wire-registered; unregistered payloads panic at the
-// sender, where the stack identifies the culprit.
-func (c *ctx) Send(dst, size int, payload any) {
-	f := c.fab
-	if dst < 0 || dst >= f.n {
-		panic(fmt.Sprintf("netfab: send to invalid node %d", dst))
-	}
-	cnt := c.Counters()
-	cnt.Messages++
-	cnt.BytesSent += int64(size)
-	f.sendSeq[dst]++
-	seq := f.sendSeq[dst]
-	if dst == f.rank {
-		// Local sends short-circuit the network but keep queue semantics.
-		im := inMsg{m: fabricMsg(f.rank, f.rank, size, payload), seq: seq}
-		if tr := f.tr; tr != nil {
-			tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvMsgSend,
-				Peer: int32(dst), Size: int64(size), Aux: seq})
-		}
-		for {
-			select {
-			case f.inbox <- im:
-				c.poll()
-				return
-			default:
-			}
-			// Inbox full: service it until there is room. Handlers may
-			// re-enter Send, so the enqueue attempt above must come first —
-			// taking a message when the queue has room could let a nested
-			// send overtake this one on the link. The select blocks, so a
-			// stalled rank burns no CPU.
-			select {
-			case f.inbox <- im:
-				c.poll()
-				return
-			case in := <-f.inbox:
-				c.handle(in)
-			}
-		}
-	}
-	if sl := f.shmSend[dst]; sl != nil {
-		// Co-located peer: the message rides the shared-memory lane. The
-		// lane numbers and traces the send itself (EvShmSend via OnSend;
-		// its frame count is the link sequence, so f.sendSeq stays unused
-		// for shm destinations), and while blocked on ring or arena space
-		// it services our inbox — handlers may re-enter Send and queue
-		// behind this message in FIFO order.
-		sl.Send(size, payload, c.poll)
-		c.poll()
-		return
-	}
-	e := wire.GetEncoder()
-	e.Uint8(frData)
-	e.Int(size)
-	e.Varint(seq)
-	e.Any(payload)
-	if tr := f.tr; tr != nil {
-		tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvMsgSend,
-			Peer: int32(dst), Size: int64(size), Aux: seq})
-	}
-	p := f.peer(dst)
-	// The encoder rides along; trimAcked recycles it once the receiver
-	// has accepted the frame and no resend can need the bytes.
-	of := outFrame{seq: seq, body: e.Bytes(), enc: e}
-	for {
-		select {
-		case p.out <- of:
-			c.poll()
-			return
-		default:
-		}
-		// Destination queue full: service our own inbox to avoid send-send
-		// deadlock. The non-blocking attempt above must come first: a
-		// handled message can re-enter Send for the same link, and taking
-		// that path while the queue has room would enqueue the nested
-		// message's higher sequence number before ours. The select blocks
-		// until the writer drains the queue or a message arrives.
-		select {
-		case p.out <- of:
-			c.poll()
-			return
-		case in := <-f.inbox:
-			c.handle(in)
-		case <-f.fail:
-			panic(f.err())
-		}
-	}
-}
-
-// handle records the delivery (when tracing) and runs the handler.
-func (c *ctx) handle(im inMsg) {
-	if tr := c.fab.tr; tr != nil {
-		tr.Emit(trace.Event{Node: int32(c.fab.rank), Kind: trace.EvMsgDeliver,
-			Peer: int32(im.m.Src), Size: int64(im.m.Size), Aux: im.seq})
-	}
-	c.fab.handler(c, im.m)
-}
-
-// poll handles all currently queued messages without blocking.
-func (c *ctx) poll() {
-	c.fab.checkFail()
-	for {
-		select {
-		case im := <-c.fab.inbox:
-			c.handle(im)
-		default:
-			return
-		}
-	}
-}
-
-// NewEvent creates a one-shot event.
-func (c *ctx) NewEvent() fabric.Event { return &event{ch: make(chan struct{})} }
-
-// event is a channel-backed one-shot event.
-type event struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-func (e *event) Signal() { e.once.Do(func() { close(e.ch) }) }
-
-func (e *event) Done() bool {
-	select {
-	case <-e.ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// Wait services the inbox until the event fires, accounting the blocked
-// wall time to the given category.
-func (e *event) Wait(fc fabric.Ctx, reason int) {
-	c := fc.(*ctx)
-	start := time.Now()
-	for {
-		select {
-		case <-e.ch:
-			c.fab.acct[reason] += int64(time.Since(start))
-			return
-		case im := <-c.fab.inbox:
-			c.handle(im)
-		case <-c.fab.fail:
-			panic(c.fab.err())
-		}
-	}
 }
 
 var _ fabric.Fabric = (*Fab)(nil)
-var _ fabric.Ctx = (*ctx)(nil)
+var _ fabric.PayloadReleaser = (*Fab)(nil)

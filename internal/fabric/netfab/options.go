@@ -1,6 +1,11 @@
 package netfab
 
-import "time"
+import (
+	"cmp"
+	"time"
+
+	"samsys/internal/fabric/shmfab"
+)
 
 // Options bounds every place a netfab node can otherwise wait forever on
 // the network. Every field has a default; the zero value is usable.
@@ -173,42 +178,16 @@ func (o Options) Apply(opts ...Option) Options {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Boot == 0 {
-		o.Boot = 30 * time.Second
-	}
-	if o.LinkRetry == 0 {
-		o.LinkRetry = 10 * time.Second
-	}
-	if o.Write == 0 {
-		o.Write = 10 * time.Second
-	}
-	if o.DrainQuiet == 0 {
-		o.DrainQuiet = 5 * time.Millisecond
-	}
-	if o.AckWindow == 0 {
-		o.AckWindow = 1 << 12
-	}
-	if o.AckEvery == 0 {
-		o.AckEvery = 64
-	}
-	if o.DialBackoff == 0 {
-		o.DialBackoff = 5 * time.Millisecond
-	}
-	if o.DialBackoffMax == 0 {
-		o.DialBackoffMax = 300 * time.Millisecond
-	}
-	if o.ShmRing == 0 {
-		o.ShmRing = 1 << 20
-	}
-	if o.ShmArena == 0 {
-		o.ShmArena = 8 << 20
-	}
-	if o.ShmInline == 0 {
-		o.ShmInline = 512
-	}
-	// Lane geometry must be 8-byte aligned so headers stay aligned at
-	// every wrap position (shmfab pads its own defaults the same way).
-	o.ShmRing = (o.ShmRing + 7) &^ 7
-	o.ShmArena = (o.ShmArena + 7) &^ 7
+	o.Boot = cmp.Or(o.Boot, 30*time.Second)
+	o.LinkRetry = cmp.Or(o.LinkRetry, 10*time.Second)
+	o.Write = cmp.Or(o.Write, 10*time.Second)
+	o.DrainQuiet = cmp.Or(o.DrainQuiet, 5*time.Millisecond)
+	o.AckWindow = cmp.Or(o.AckWindow, 1<<12)
+	o.AckEvery = cmp.Or(o.AckEvery, 64)
+	o.DialBackoff = cmp.Or(o.DialBackoff, 5*time.Millisecond)
+	o.DialBackoffMax = cmp.Or(o.DialBackoffMax, 300*time.Millisecond)
+	// Lane geometry takes shmfab's own defaults and 8-byte alignment.
+	lane := shmfab.Options{RingBytes: o.ShmRing, ArenaBytes: o.ShmArena, InlineMax: o.ShmInline}.Apply()
+	o.ShmRing, o.ShmArena, o.ShmInline = lane.RingBytes, lane.ArenaBytes, lane.InlineMax
 	return o
 }

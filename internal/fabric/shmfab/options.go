@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 )
 
 // Options tunes the lane geometry shared by the in-process Cluster and
@@ -21,9 +20,6 @@ type Options struct {
 	// InlineMax is the encoded-body length at which a message switches
 	// from an inline ring frame to an arena handoff. Default 512.
 	InlineMax int
-	// DrainQuiet is how long a node keeps serving stragglers after every
-	// application body has returned. Default 5 ms.
-	DrainQuiet time.Duration
 }
 
 // Option mutates Options.
@@ -57,9 +53,6 @@ func (o Options) Apply(opts ...Option) Options {
 	}
 	if o.InlineMax == 0 {
 		o.InlineMax = 512
-	}
-	if o.DrainQuiet == 0 {
-		o.DrainQuiet = 5 * time.Millisecond
 	}
 	// Ring and arena sizes must be multiples of 8 so frame and block
 	// headers stay aligned at every wrap position.

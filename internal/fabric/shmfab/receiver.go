@@ -119,9 +119,10 @@ func (r *Receiver) Stop() {
 	<-r.exited
 }
 
-// Close unmaps the lanes and removes the doorbell. Call after Stop:
-// touching a lane after unmap faults.
+// Close stops the receiver, then unmaps the lanes and removes the
+// doorbell — in that order: touching a lane after unmap faults.
 func (r *Receiver) Close() {
+	r.Stop()
 	for _, l := range r.lanes {
 		if l != nil {
 			l.Close()

@@ -25,7 +25,7 @@ func TestNoLeakedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.closeLanes() // Run never happens; free the mappings and fds
+	defer f.Close() // Run never happens; free the mappings and fds
 	left, err := filepath.Glob(filepath.Join(dir, "sam-shm-*"))
 	if err != nil {
 		t.Fatal(err)
