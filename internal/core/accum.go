@@ -12,9 +12,9 @@ import (
 // processor is its initial holder.
 func (c *Ctx) CreateAccum(name Name, item Item) {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	if old := rt.cache.lookup(name); old != nil {
 		rt.protoErr("CreateAccum(%v): name already present locally", name)
 	}
@@ -43,10 +43,10 @@ func (c *Ctx) BeginUpdateAccum(name Name) Item {
 // handle-based commit.
 func (c *Ctx) updateAccum(name Name) *entry {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
 	cnt.AccumAcquires++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	if e := rt.cache.lookup(name); e != nil && e.owner {
 		if e.kind != kindAccum {
 			rt.protoErr("BeginUpdateAccum(%v): name is a value", name)
@@ -57,7 +57,7 @@ func (c *Ctx) updateAccum(name Name) *entry {
 		e.reserved = false
 		e.busy = true
 		cnt.CacheHits++
-		rt.cache.reindex(e)
+		rt.cache.unlink(e)
 		rt.ev(trace.EvAccAcquire, name, -1, int64(e.size), 1)
 		return e
 	}
@@ -129,14 +129,14 @@ func (c *Ctx) BeginReadChaotic(name Name) Item {
 // handle-based release.
 func (c *Ctx) readChaotic(name Name) *entry {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	if e := rt.cache.lookup(name); e != nil && e.kind == kindAccum && rt.chaoticFresh(c.fc, e) {
 		cnt.CacheHits++
 		cnt.ChaoticHits++
 		e.pins++
-		rt.cache.reindex(e)
+		rt.cache.unlink(e)
 		rt.ev(trace.EvChaoticRead, name, -1, int64(e.size), 1)
 		rt.ev(trace.EvCachePin, name, -1, 0, int64(e.pins))
 		return e
@@ -212,9 +212,9 @@ func (c *Ctx) commitAccumToValue(e *entry, uses int64) {
 // value elsewhere are reclaimed.
 func (c *Ctx) ConvertValueToAccum(name Name) {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	e := rt.cache.lookup(name)
 	if e == nil || !e.owner || e.kind != kindValue || e.creating {
 		rt.protoErr("ConvertValueToAccum(%v): not a published value owned here", name)
@@ -265,8 +265,8 @@ func (rt *nodeRT) transferAccum(fc fabric.Ctx, e *entry) {
 	if !dropped {
 		rt.cache.reindex(e)
 	}
-	chargePack(fc, e.size)
-	cnt := fc.Counters()
+	rt.chargePack(fc, e.size)
+	cnt := rt.cnt
 	cnt.DataMessages++
 	cnt.DataBytes += int64(e.size)
 	rt.send(fc, next, e.size+msgHeaderBytes, msg)
@@ -347,7 +347,7 @@ func (rt *nodeRT) handleAccFwd(fc fabric.Ctx, m msgAccFwd) {
 
 // handleAccData: the accumulator migrated to this node.
 func (rt *nodeRT) handleAccData(fc fabric.Ctx, m msgAccData) {
-	chargePack(fc, m.size) // unpack
+	rt.chargePack(fc, m.size) // unpack
 	e := rt.cache.lookup(m.name)
 	if e != nil {
 		if e.owner || e.kind != kindAccum {
@@ -499,8 +499,8 @@ func (rt *nodeRT) sendChaoticData(fc fabric.Ctx, dst int, e *entry) {
 		name: e.name, item: e.item.Clone(), size: e.size, version: e.version,
 	}
 	rt.ev(trace.EvChaoticServe, e.name, dst, int64(e.size), e.version)
-	chargePack(fc, e.size)
-	cnt := fc.Counters()
+	rt.chargePack(fc, e.size)
+	cnt := rt.cnt
 	cnt.DataMessages++
 	cnt.DataBytes += int64(e.size)
 	rt.send(fc, dst, msg.size+msgHeaderBytes, msg)
@@ -508,7 +508,7 @@ func (rt *nodeRT) sendChaoticData(fc fabric.Ctx, dst int, e *entry) {
 
 // handleChaoticData (reader): cache the snapshot and wake waiting reads.
 func (rt *nodeRT) handleChaoticData(fc fabric.Ctx, m msgChaoticData) {
-	chargePack(fc, m.size) // unpack
+	rt.chargePack(fc, m.size) // unpack
 	delete(rt.chaoticFetching, m.name)
 	e := rt.cache.lookup(m.name)
 	switch {
@@ -563,7 +563,7 @@ func (rt *nodeRT) handleCommitNote(fc fabric.Ctx, m msgCommitNote) {
 		return
 	}
 	e.version = m.version
-	cnt := fc.Counters()
+	cnt := rt.cnt
 	for node := 0; node < rt.n; node++ {
 		if node == e.tail {
 			continue // the committer/current holder has the newest data

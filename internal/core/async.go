@@ -47,10 +47,10 @@ type renameWaiter struct {
 // this API.
 func (c *Ctx) AcquireAccumAsync(name Name, cb func(Item)) bool {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
 	cnt.AccumAcquires++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	if e := rt.cache.lookup(name); e != nil && e.owner {
 		if e.kind != kindAccum {
 			rt.protoErr("AcquireAccumAsync(%v): name is a value", name)
@@ -84,9 +84,9 @@ func (c *Ctx) AcquireAccumAsync(name Name, cb func(Item)) bool {
 // The copy is not pinned; cb must copy out what it keeps.
 func (c *Ctx) FetchChaoticAsync(name Name, cb func(Item)) bool {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	if e := rt.cache.lookup(name); e != nil && e.kind == kindAccum && rt.chaoticFresh(c.fc, e) {
 		cnt.CacheHits++
 		cnt.ChaoticHits++
@@ -114,10 +114,10 @@ func (c *Ctx) FetchChaoticAsync(name Name, cb func(Item)) bool {
 // with EndRenameValue. At most one rename per name may be pending.
 func (c *Ctx) RenameValueAsync(old, new Name, uses int64, cb func(Item)) {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
 	cnt.Renames++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	e := rt.cache.lookup(old)
 	if e == nil || !e.owner || e.kind != kindValue || e.creating {
 		rt.protoErr("RenameValueAsync(%v): not a published value owned here", old)

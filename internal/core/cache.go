@@ -57,6 +57,9 @@ func (e *entry) evictable() bool {
 
 func (e *entry) inLRU() bool { return e.lruNext != nil }
 
+// key is the name the cache's nameTab files the entry under.
+func (e *entry) key() Name { return e.name }
+
 // lruList is an intrusive circular doubly-linked list of evictable
 // entries, front = least recently used.
 type lruList struct {
@@ -112,7 +115,7 @@ func (l *lruList) front() *entry {
 // cache is a node's local store of data items: owned items plus an LRU
 // cache of copies fetched from remote processors.
 type cache struct {
-	entries map[Name]*entry
+	entries nameTab[entry, *entry]
 	lru     lruList // evictable entries only
 	used    int64   // bytes across all entries
 	cap     int64   // eviction threshold (owned/pinned bytes may exceed it)
@@ -138,7 +141,7 @@ func (c *cache) releaseItem(it Item) {
 }
 
 func newCache(capBytes int64) *cache {
-	c := &cache{entries: make(map[Name]*entry), cap: capBytes}
+	c := &cache{cap: capBytes}
 	c.lru.init()
 	return c
 }
@@ -153,7 +156,10 @@ func (c *cache) ev(kind trace.Kind, name Name, size, aux, aux2 int64) {
 }
 
 // lookup returns the entry for name, if present, without touching LRU order.
-func (c *cache) lookup(name Name) *entry { return c.entries[name] }
+func (c *cache) lookup(name Name) *entry { return c.entries.get(name) }
+
+// len returns the number of resident entries.
+func (c *cache) len() int { return c.entries.len() }
 
 // touch moves an evictable entry to the MRU position.
 func (c *cache) touch(e *entry) {
@@ -165,10 +171,10 @@ func (c *cache) touch(e *entry) {
 // insert adds a new entry and evicts LRU copies if over capacity.
 // Inserting over an existing name is a protocol error.
 func (c *cache) insert(e *entry) {
-	if _, dup := c.entries[e.name]; dup {
+	if c.entries.get(e.name) != nil {
 		panic(fmt.Sprintf("sam: duplicate cache entry for %v", e.name))
 	}
-	c.entries[e.name] = e
+	c.entries.put(e)
 	c.used += int64(e.size)
 	c.reindex(e)
 	c.evict()
@@ -195,24 +201,42 @@ func (c *cache) resize(e *entry, newSize int) {
 // reindex places the entry in or out of the LRU list according to its
 // current evictability. Call after changing pins/owner/busy state.
 func (c *cache) reindex(e *entry) {
-	if e.evictable() {
-		if !e.inLRU() {
-			c.lru.pushBack(e)
-		}
-	} else if e.inLRU() {
+	if !e.evictable() {
+		c.unlink(e)
+	} else if !e.inLRU() {
+		c.lru.pushBack(e)
+	}
+}
+
+// unlink takes the entry out of the LRU list if it is there: all reindex
+// comes to for an entry that just gained a pin or went busy, which the
+// cached borrow does on every access.
+func (c *cache) unlink(e *entry) {
+	if e.inLRU() {
 		c.lru.remove(e)
+	}
+}
+
+// relink is reindex then touch in one step, for an entry that just lost
+// a pin: the last pin gone puts a copy back at the MRU end of the list,
+// and while other pins remain there is nothing to move.
+func (c *cache) relink(e *entry) {
+	switch {
+	case !e.evictable():
+		c.unlink(e)
+	case e.inLRU():
+		c.lru.moveToBack(e)
+	default:
+		c.lru.pushBack(e)
 	}
 }
 
 // remove deletes an entry outright.
 func (c *cache) remove(e *entry) {
-	if e.inLRU() {
-		c.lru.remove(e)
-	}
-	if _, ok := c.entries[e.name]; !ok {
+	c.unlink(e)
+	if !c.entries.del(e.name) {
 		return
 	}
-	delete(c.entries, e.name)
 	c.used -= int64(e.size)
 	c.releaseItem(e.item)
 	if c.evicting {

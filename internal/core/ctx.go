@@ -60,7 +60,7 @@ func (c *Ctx) Barrier() {
 	rt.barEpoch++
 	ev := c.fc.NewEvent()
 	rt.barEv = ev
-	c.fc.Counters().Barriers++
+	rt.cnt.Barriers++
 	rt.ev(trace.EvBarrierArrive, Name{}, 0, 0, rt.barEpoch)
 	rt.send(c.fc, 0, smallMsgSize, msgBarrierArrive{epoch: rt.barEpoch, from: rt.node})
 	c.rt.wait(c.fc, ev, stats.Idle)

@@ -58,8 +58,8 @@ func TestCacheReclamationUnderEvictionPressure(t *testing.T) {
 			})
 			cache := w.nodes[1].cache
 			if tc.opts.NoCache {
-				if len(cache.entries) != 0 {
-					t.Errorf("NoCache retained %d entries", len(cache.entries))
+				if cache.len() != 0 {
+					t.Errorf("NoCache retained %d entries", cache.len())
 				}
 				return
 			}

@@ -124,6 +124,5 @@ func (rt *nodeRT) unpin(e *entry) {
 		rt.cache.remove(e)
 		return
 	}
-	rt.cache.reindex(e)
-	rt.cache.touch(e)
+	rt.cache.relink(e)
 }

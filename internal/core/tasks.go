@@ -98,14 +98,14 @@ func (c *Ctx) SpawnTaskWhenValues(task any, names ...Name) {
 		rt.enqueueLocal(task)
 		return
 	}
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	join := &struct{ left int }{left: remaining}
 	for _, name := range arm {
 		cnt.SharedAccesses++
 		cnt.ValueUses++
 		cnt.RemoteAccesses++
 		cnt.Prefetches++
-		chargeAddr(c.fc)
+		rt.chargeAddr(c.fc)
 		rt.valWait[name] = append(rt.valWait[name], valWaiter{cb: func(Item) {
 			join.left--
 			if join.left == 0 {

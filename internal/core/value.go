@@ -19,10 +19,10 @@ const UsesUnlimited int64 = -1
 // (UsesUnlimited if unknown).
 func (c *Ctx) BeginCreateValue(name Name, item Item, uses int64) Item {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
 	cnt.ValueCreates++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	if old := rt.cache.lookup(name); old != nil {
 		rt.protoErr("BeginCreateValue(%v): name already present locally", name)
 	}
@@ -73,14 +73,14 @@ func (c *Ctx) BeginUseValue(name Name) Item {
 // entry for handle-based release.
 func (c *Ctx) useValue(name Name) *entry {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
 	cnt.ValueUses++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	if e := rt.cache.lookup(name); e != nil && e.kind == kindValue && !e.creating {
 		cnt.CacheHits++
 		e.pins++
-		rt.cache.reindex(e)
+		rt.cache.unlink(e)
 		rt.ev(trace.EvValUse, name, -1, int64(e.size), 1)
 		rt.ev(trace.EvCachePin, name, -1, 0, int64(e.pins))
 		return e
@@ -134,10 +134,10 @@ func (c *Ctx) DestroyValue(name Name) {
 // EndRenameValue (equivalently EndCreateValue) on the new name.
 func (c *Ctx) BeginRenameValue(old, new Name, uses int64) Item {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
 	cnt.Renames++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	e := rt.cache.lookup(old)
 	if e == nil || !e.owner || e.kind != kindValue || e.creating {
 		rt.protoErr("BeginRenameValue(%v): not a published value owned here", old)
@@ -179,7 +179,7 @@ func (c *Ctx) PushValue(name Name, dst int) {
 	if e == nil || e.kind != kindValue || e.creating {
 		rt.protoErr("PushValue(%v): no published local copy", name)
 	}
-	c.fc.Counters().Pushes++
+	rt.cnt.Pushes++
 	rt.ev(trace.EvPush, name, dst, int64(e.size), 0)
 	rt.sendValData(c.fc, dst, e)
 	home := name.home(rt.n)
@@ -194,11 +194,11 @@ func (c *Ctx) PushValue(name Name, dst int) {
 // once the value has arrived; cb must not block. The copy is not pinned.
 func (c *Ctx) FetchValueAsync(name Name, cb func(Item)) bool {
 	rt := c.rt
-	cnt := c.fc.Counters()
+	cnt := rt.cnt
 	cnt.SharedAccesses++
 	cnt.ValueUses++
 	cnt.Prefetches++
-	chargeAddr(c.fc)
+	rt.chargeAddr(c.fc)
 	if e := rt.cache.lookup(name); e != nil && e.kind == kindValue && !e.creating {
 		cnt.CacheHits++
 		rt.cache.touch(e)
@@ -226,8 +226,8 @@ func (rt *nodeRT) requestValue(fc fabric.Ctx, name Name) {
 
 // sendValData packs and transmits a copy of a locally held value.
 func (rt *nodeRT) sendValData(fc fabric.Ctx, dst int, e *entry) {
-	chargePack(fc, e.size)
-	cnt := fc.Counters()
+	rt.chargePack(fc, e.size)
+	cnt := rt.cnt
 	cnt.DataMessages++
 	cnt.DataBytes += int64(e.size)
 	rt.send(fc, dst, e.size+msgHeaderBytes,
@@ -282,7 +282,7 @@ func (rt *nodeRT) handleValGet(fc fabric.Ctx, m msgValGet) {
 		// Not yet created, or still in its accumulator phase: the request
 		// waits; this is synchronization combined with data access.
 		e.pendingGets = append(e.pendingGets, m.from)
-		fc.Counters().ProdConsWaits++
+		rt.cnt.ProdConsWaits++
 		return
 	}
 	rt.forwardValGet(fc, e, m.name, m.from)
@@ -312,7 +312,7 @@ func (rt *nodeRT) handleValFwd(fc fabric.Ctx, m msgValFwd) {
 
 // handleValData (requester): a copy arrived; cache it and satisfy waiters.
 func (rt *nodeRT) handleValData(fc fabric.Ctx, m msgValData) {
-	chargePack(fc, m.size) // unpack
+	rt.chargePack(fc, m.size) // unpack
 	delete(rt.fetching, m.name)
 	e := rt.cache.lookup(m.name)
 	if e != nil {
@@ -345,7 +345,7 @@ func (rt *nodeRT) handleCopyNote(fc fabric.Ctx, m msgCopyNote) {
 // handleUsesDone (home): consume declared uses; on reaching zero, reclaim
 // remote copies and let a pending rename proceed.
 func (rt *nodeRT) handleUsesDone(fc fabric.Ctx, m msgUsesDone) {
-	e := rt.dir[m.name]
+	e := rt.dir.get(m.name)
 	if e == nil || !e.created {
 		rt.protoErr("DoneValue(%v) for unknown value", m.name)
 	}
@@ -370,7 +370,7 @@ func (rt *nodeRT) drainValue(fc fabric.Ctx, name Name, e *dirEntry) {
 	rt.releaseCopies(fc, name, e, false)
 	if e.renameWaiter >= 0 {
 		w := e.renameWaiter
-		delete(rt.dir, name)
+		rt.dir.del(name)
 		rt.ev(trace.EvRenameGrant, name, w, 0, 0)
 		rt.send(fc, w, smallMsgSize, msgRenameOK{name: name})
 	}
@@ -408,11 +408,11 @@ func (rt *nodeRT) handleValRelease(fc fabric.Ctx, m msgValRelease) {
 
 // handleRenameReq (home): grant once the value's uses have drained.
 func (rt *nodeRT) handleRenameReq(fc fabric.Ctx, m msgRenameReq) {
-	e := rt.dir[m.name]
+	e := rt.dir.get(m.name)
 	if e == nil || e.drained {
 		if e != nil {
 			rt.releaseCopies(fc, m.name, e, false)
-			delete(rt.dir, m.name)
+			rt.dir.del(m.name)
 		}
 		rt.ev(trace.EvRenameGrant, m.name, m.from, 0, 0)
 		rt.send(fc, m.from, smallMsgSize, msgRenameOK{name: m.name})
@@ -460,11 +460,11 @@ func (rt *nodeRT) handleRenameOK(fc fabric.Ctx, m msgRenameOK) {
 
 // handleDestroy (home): reclaim every copy including the owner's.
 func (rt *nodeRT) handleDestroy(fc fabric.Ctx, m msgDestroy) {
-	e := rt.dir[m.name]
+	e := rt.dir.get(m.name)
 	if e == nil {
 		return
 	}
 	rt.ev(trace.EvValDestroy, m.name, e.owner, 0, 0)
 	rt.releaseCopies(fc, m.name, e, true)
-	delete(rt.dir, m.name)
+	rt.dir.del(m.name)
 }

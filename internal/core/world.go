@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"samsys/internal/fabric"
+	"samsys/internal/machine"
 	"samsys/internal/sim"
 	"samsys/internal/stats"
 	"samsys/internal/trace"
@@ -13,6 +14,7 @@ import (
 // Create one with NewWorld, then call Run exactly once.
 type World struct {
 	fab   fabric.Fabric
+	prof  machine.Profile // fab.Profile(), read once: fc.Profile() copies all of it per call
 	opts  Options
 	nodes []*nodeRT
 	ext   []*extQueue // per-rank externally submitted operations
@@ -27,7 +29,7 @@ type World struct {
 // NewWorld creates the SAM runtime on the given fabric. It installs the
 // fabric's message handler, so the fabric must not have one already.
 func NewWorld(fab fabric.Fabric, opts Options) *World {
-	w := &World{fab: fab, opts: opts}
+	w := &World{fab: fab, prof: fab.Profile(), opts: opts}
 	if pr, ok := fab.(fabric.PayloadReleaser); ok {
 		w.releaser = pr
 	}
@@ -80,10 +82,15 @@ type nodeRT struct {
 	w     *World
 	node  int
 	n     int
-	dir   map[Name]*dirEntry
+	dir   nameTab[dirEntry, *dirEntry]
 	cache *cache
 	co    *coalescer      // non-nil iff Options.Coalesce
 	tr    *trace.Recorder // nil when tracing is disabled
+
+	// This node's counters, read from the fabric once: every shared
+	// access counts itself, and fc.Counters() is an interface call each
+	// time for a pointer that never changes.
+	cnt *stats.Counters
 
 	// Value machinery.
 	valWait  map[Name][]valWaiter // waiting for a value copy to arrive
@@ -118,8 +125,8 @@ type nodeRT struct {
 func newNodeRT(w *World, node, n int) *nodeRT {
 	rt := &nodeRT{
 		w: w, node: node, n: n,
-		dir:             make(map[Name]*dirEntry),
 		cache:           newCache(w.opts.cacheBytes()),
+		cnt:             w.fab.Counters(node),
 		valWait:         make(map[Name][]valWaiter),
 		fetching:        make(map[Name]bool),
 		acqWait:         make(map[Name]*acqWaiter),
@@ -153,12 +160,17 @@ func newNodeRT(w *World, node, n int) *nodeRT {
 	return rt
 }
 
-// ev records one protocol event for this node. The nil check is the
-// entire disabled-tracing cost at every emission site.
+// ev records one protocol event for this node. It is split so that the
+// check inlines: the nil compare is the entire disabled-tracing cost at
+// every emission site, not a call.
 func (rt *nodeRT) ev(kind trace.Kind, name Name, peer int, size int64, aux int64) {
-	if rt.tr == nil {
-		return
+	if rt.tr != nil {
+		rt.emit(kind, name, peer, size, aux)
 	}
+}
+
+//go:noinline
+func (rt *nodeRT) emit(kind trace.Kind, name Name, peer int, size int64, aux int64) {
 	rt.tr.Emit(trace.Event{Node: int32(rt.node), Kind: kind,
 		Name: trace.Name(name), Peer: int32(peer), Size: size, Aux: aux})
 }
@@ -174,6 +186,7 @@ type valWaiter struct {
 
 // dirEntry is home-node directory state for one name.
 type dirEntry struct {
+	name     Name
 	kind     itemKind
 	created  bool
 	owner    int   // value: creating node; accum: creator (for conversion)
@@ -192,16 +205,21 @@ type dirEntry struct {
 	renameWaiter int    // node waiting in BeginRenameValue, -1 if none
 }
 
+// key is the name the directory's nameTab files the entry under.
+func (e *dirEntry) key() Name { return e.name }
+
 func (rt *nodeRT) dirGet(name Name) *dirEntry {
-	e := rt.dir[name]
+	e := rt.dir.get(name)
 	if e == nil {
+		n := rt.n
+		flags := make([]bool, 3*n) // the three per-node sets, one allocation
 		e = &dirEntry{
-			tail: -1, renameWaiter: -1,
-			copies:      make([]bool, rt.n),
-			snapshots:   make([]bool, rt.n),
-			pastHolders: make([]bool, rt.n),
+			name: name, tail: -1, renameWaiter: -1,
+			copies:      flags[0:n:n],
+			snapshots:   flags[n : 2*n : 2*n],
+			pastHolders: flags[2*n:],
 		}
-		rt.dir[name] = e
+		rt.dir.put(e)
 	}
 	return e
 }
@@ -218,7 +236,7 @@ func (rt *nodeRT) send(fc fabric.Ctx, dst, size int, payload any) {
 		rt.co.add(fc, dst, size, payload)
 		return
 	}
-	fc.Counters().RawMessages++
+	rt.cnt.RawMessages++
 	fc.Send(dst, size, payload)
 }
 
@@ -311,13 +329,13 @@ func (rt *nodeRT) protoErr(format string, args ...any) {
 
 // chargeAddr charges the software address-translation cost of one shared
 // data access (hash lookup plus cache LRU management).
-func chargeAddr(fc fabric.Ctx) {
-	fc.Charge(stats.Addr, fc.Profile().AddrTrans)
+func (rt *nodeRT) chargeAddr(fc fabric.Ctx) {
+	fc.Charge(stats.Addr, rt.w.prof.AddrTrans)
 }
 
 // chargePack charges the cost of packing or unpacking size bytes.
-func chargePack(fc fabric.Ctx, size int) {
-	fc.Charge(stats.Pack, fc.Profile().PackTime(size))
+func (rt *nodeRT) chargePack(fc fabric.Ctx, size int) {
+	fc.Charge(stats.Pack, rt.w.prof.PackTime(size))
 }
 
 // now returns the current time of an execution context.

@@ -184,3 +184,15 @@ func TestFailWakesSleepersWithoutDispatching(t *testing.T) {
 		t.Errorf("handler ran %d times; the wake-up kick was dispatched", n)
 	}
 }
+
+// BenchmarkPollEmpty is what every Charge — so every shared access of a
+// real-time run — pays to find that nothing has arrived: through the
+// fabric.Ctx interface, as the runtime calls it.
+func BenchmarkPollEmpty(b *testing.B) {
+	nd := New(NewGroup(), 0, 1, machine.CM5, 0)
+	defer nd.Close()
+	var fc fabric.Ctx = nd
+	for i := 0; i < b.N; i++ {
+		fc.Charge(stats.Addr, 1)
+	}
+}

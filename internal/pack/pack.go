@@ -88,17 +88,6 @@ func SizeOf(v any) int {
 
 func sizeOf(v reflect.Value) int {
 	switch v.Kind() {
-	case reflect.Bool, reflect.Int8, reflect.Uint8:
-		return 1
-	case reflect.Int16, reflect.Uint16:
-		return 2
-	case reflect.Int32, reflect.Uint32, reflect.Float32:
-		return 4
-	case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64,
-		reflect.Float64, reflect.Complex64, reflect.Uintptr:
-		return 8
-	case reflect.Complex128:
-		return 16
 	case reflect.String:
 		return 8 + v.Len()
 	case reflect.Ptr:
@@ -110,12 +99,18 @@ func sizeOf(v reflect.Value) int {
 		if v.IsNil() {
 			return 8
 		}
+		if each := fixedSize(v.Type().Elem()); each >= 0 {
+			return 8 + v.Len()*each
+		}
 		n := 8
 		for i := 0; i < v.Len(); i++ {
 			n += sizeOf(v.Index(i))
 		}
 		return n
 	case reflect.Array:
+		if each := fixedSize(v.Type().Elem()); each >= 0 {
+			return v.Len() * each
+		}
 		n := 0
 		for i := 0; i < v.Len(); i++ {
 			n += sizeOf(v.Index(i))
@@ -139,8 +134,47 @@ func sizeOf(v reflect.Value) int {
 		}
 		return 8 + sizeOf(v.Elem())
 	default:
+		if n := fixedSize(v.Type()); n >= 0 {
+			return n // a scalar
+		}
 		panic(fmt.Sprintf("pack: cannot size kind %v", v.Kind()))
 	}
+}
+
+// fixedSize returns the packed size every value of type t has, or -1 if
+// it depends on the value (strings, pointers, slices, maps, interfaces,
+// and anything containing one). It lets sizeOf take a slice or array of
+// such elements as length × size instead of walking it through reflect:
+// sizing a block of floats cost more than cloning it.
+func fixedSize(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int8, reflect.Uint8:
+		return 1
+	case reflect.Int16, reflect.Uint16:
+		return 2
+	case reflect.Int32, reflect.Uint32, reflect.Float32:
+		return 4
+	case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64,
+		reflect.Float64, reflect.Complex64, reflect.Uintptr:
+		return 8
+	case reflect.Complex128:
+		return 16
+	case reflect.Array:
+		if each := fixedSize(t.Elem()); each >= 0 {
+			return t.Len() * each
+		}
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			f := fixedSize(t.Field(i).Type)
+			if f < 0 {
+				return -1
+			}
+			n += f
+		}
+		return n
+	}
+	return -1
 }
 
 // DeepCopy returns a deep copy of v, traversing pointers, slices, maps and

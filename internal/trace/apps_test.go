@@ -23,11 +23,14 @@ import (
 )
 
 // tracedRun runs app on a fresh simulated cluster with a recorder and a
-// fail-fast checker attached, finishing the checker afterwards.
+// fail-fast checker attached, finishing the checker afterwards. The
+// recorder keeps every event (rings grow on demand), so a digest of the
+// returned trace covers the whole run.
 func tracedRun(t *testing.T, prof machine.Profile, n int,
 	app func(fab *simfab.Fab, opts core.Options) error) *trace.Recorder {
 	t.Helper()
 	rec := trace.New()
+	rec.SetCapacity(1 << 20)
 	checker := trace.NewChecker(func(format string, args ...any) {
 		panic(fmt.Sprintf(format, args...))
 	})
