@@ -193,3 +193,30 @@ func TestResultMetrics(t *testing.T) {
 		t.Error("counters did not record shared accesses")
 	}
 }
+
+// TestBenchmarkMatrixFactorMatchesOneRank is the benchmark's own check on
+// its own input (benchmark/: Grid3DStiff(11,11,11,3), block 16, so ragged
+// last blocks in every block row and column): the 4-rank factor agrees
+// with the 1-rank factor to the tolerance the benchmark applies, although
+// the block updates reach each destination in a different order.
+func TestBenchmarkMatrixFactorMatchesOneRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("factors a 3993-column matrix twice")
+	}
+	m := sparse.Grid3DStiff(11, 11, 11, 3)
+	factor := func(nodes int) map[[2]int32][]float64 {
+		res, err := Run(simfab.New(machine.CM5, nodes), core.Options{Coalesce: true},
+			Config{Matrix: m, BlockSize: 16, Collect: true})
+		if err != nil {
+			t.Fatalf("%d-rank run: %v", nodes, err)
+		}
+		return res.L
+	}
+	diff, err := MaxBlockDiff(factor(4), factor(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(diff <= 1e-8) {
+		t.Errorf("4-rank factor differs from the 1-rank factor by %g, want <= 1e-8", diff)
+	}
+}

@@ -227,48 +227,45 @@ func Run(fab fabric.Fabric, opts core.Options, cfg Config) (*Result, error) {
 // Push enabled the block is also sent to exactly the processors that will
 // access it (Section 5.3).
 func afterComplete(c *core.Ctx, bl *sparse.Blocks, owners ownerMap, r, k int32, cfg Config) {
-	me := c.Node()
-	push := make(map[int]bool)
-	var spawn []struct {
-		dst  int
-		task updTask
-	}
-	if r == k {
-		// Diagonal factor: needed by the solves of column k, which are
-		// on the critical path of every later column.
-		for _, i := range bl.Rows[k][1:] {
-			push[owners.owner(i, k)] = true
-		}
-	} else {
-		for _, s := range bl.Rows[k][1:] {
-			if s < r || !bl.Has(int(s), int(r)) {
-				// Updates using us as the L(i,k) source are spawned by
-				// the other block's completion at an unknown later time;
-				// pushing for them now would spend producer time pumping
-				// data that consumers may not need for a while.
-				continue
-			}
-			// Update (s, r) pairing L(s,k) with our L(r,k) — spawned
-			// right now, so the consumer needs the block immediately.
-			dst := owners.owner(s, r)
-			spawn = append(spawn, struct {
-				dst  int
-				task updTask
-			}{dst, updTask{i: s, j: r, k: k}})
-			push[dst] = true
-		}
-	}
+	below := bl.Rows[k][1:]
+	// consumes reports whether block row s pairs with our L(r,k) in an
+	// update (s, r) that this completion spawns. Updates using us as the
+	// L(i,k) source (s < r) are spawned by the other block's completion at
+	// an unknown later time; pushing for them now would spend producer
+	// time pumping data that consumers may not need for a while.
+	consumes := func(s int32) bool { return s >= r && bl.Has(int(s), int(r)) }
 	// Push before spawning: per-link FIFO delivery then guarantees the
 	// data reaches each consumer ahead of the task that needs it, so the
 	// consumer's access is a local hit instead of a second transfer.
 	if cfg.Push {
+		var buf [64]bool
+		push := buf[:]
+		if c.N() > len(buf) {
+			push = make([]bool, c.N())
+		}
+		for _, s := range below {
+			if r == k {
+				// Diagonal factor: needed by the solves of column k, which
+				// are on the critical path of every later column.
+				push[owners.owner(s, k)] = true
+			} else if consumes(s) {
+				push[owners.owner(s, r)] = true
+			}
+		}
+		me := c.Node()
 		for dst := 0; dst < c.N(); dst++ {
 			if push[dst] && dst != me {
 				c.PushValue(core.N2(tagBlock, int(r), int(k)), dst)
 			}
 		}
 	}
-	for _, s := range spawn {
-		c.SpawnTask(s.dst, s.task, 16)
+	if r == k {
+		return
+	}
+	for _, s := range below {
+		if consumes(s) {
+			// The consumer needs the block immediately.
+			c.SpawnTask(owners.owner(s, r), updTask{i: s, j: r, k: k}, 16)
+		}
 	}
 }

@@ -164,17 +164,74 @@ func (bl *Blocks) ExtractBlock(m *Matrix, bi, bj int) []float64 {
 
 // BlockMulSub computes dst -= a * b^T where a is m-by-k, b is n-by-k and
 // dst is m-by-n, all column-major.
+//
+// The kernel is register-blocked two dst columns by four k: one pass over
+// a pair of dst columns consumes four columns of a, so a dst element is
+// loaded and stored once per four multiply-adds, not once per one, and an
+// element of a is loaded once per two. The column slices are re-sliced to
+// one length, which lets the compiler drop the bounds checks from the
+// inner loops. Zero entries of b (a source block's structural zeros, which
+// come in runs along its rows) are skipped as before: per group of four
+// for each dst column, falling back to the one-column loop when only one of
+// the pair has work, and per entry in the ragged tail of k. Inside a group
+// that is only partly zero the zero terms contribute exactly nothing.
 func BlockMulSub(dst, a, b []float64, m, n, k int) {
-	for j := 0; j < n; j++ {
-		dcol := dst[j*m : (j+1)*m]
-		for p := 0; p < k; p++ {
-			bjp := b[p*n+j]
-			if bjp == 0 {
+	for j := 0; j < n; j += 2 {
+		d0 := dst[j*m : (j+1)*m]
+		pair := j+1 < n // the last column of an odd n stands alone
+		d1 := d0
+		if pair {
+			d1 = dst[(j+1)*m:]
+		}
+		d1 = d1[:len(d0)]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			r0, r1, r2, r3 := b[p*n+j:], b[(p+1)*n+j:], b[(p+2)*n+j:], b[(p+3)*n+j:]
+			b00, b01, b02, b03 := r0[0], r1[0], r2[0], r3[0]
+			var b10, b11, b12, b13 float64
+			if pair {
+				b10, b11, b12, b13 = r0[1], r1[1], r2[1], r3[1]
+			}
+			z0 := b00 == 0 && b01 == 0 && b02 == 0 && b03 == 0
+			z1 := b10 == 0 && b11 == 0 && b12 == 0 && b13 == 0
+			if z0 && z1 {
 				continue
 			}
-			acol := a[p*m : (p+1)*m]
-			for i := 0; i < m; i++ {
-				dcol[i] -= acol[i] * bjp
+			a0 := a[p*m:][:len(d0)]
+			a1 := a[(p+1)*m:][:len(d0)]
+			a2 := a[(p+2)*m:][:len(d0)]
+			a3 := a[(p+3)*m:][:len(d0)]
+			switch {
+			case z1:
+				for i := range d0 {
+					d0[i] -= a0[i]*b00 + a1[i]*b01 + a2[i]*b02 + a3[i]*b03
+				}
+			case z0:
+				for i := range d0 {
+					d1[i] -= a0[i]*b10 + a1[i]*b11 + a2[i]*b12 + a3[i]*b13
+				}
+			default:
+				for i := range d0 {
+					x0, x1, x2, x3 := a0[i], a1[i], a2[i], a3[i]
+					d0[i] -= x0*b00 + x1*b01 + x2*b02 + x3*b03
+					d1[i] -= x0*b10 + x1*b11 + x2*b12 + x3*b13
+				}
+			}
+		}
+		for ; p < k; p++ {
+			acol := a[p*m:][:len(d0)]
+			if b0 := b[p*n+j]; b0 != 0 {
+				for i := range d0 {
+					d0[i] -= acol[i] * b0
+				}
+			}
+			if !pair {
+				continue
+			}
+			if b1 := b[p*n+j+1]; b1 != 0 {
+				for i := range d1 {
+					d1[i] -= acol[i] * b1
+				}
 			}
 		}
 	}
@@ -218,16 +275,33 @@ func BlockFactor(a []float64, n int) {
 
 // BlockSolve computes a = a * inv(l)^T where l is the n-by-n lower
 // triangular factor of the diagonal block and a is m-by-n: the
-// finalization of an off-diagonal block.
+// finalization of an off-diagonal block. Column j of the result is column
+// j of a less the earlier result columns scaled by row j of l, taken four
+// at a time as in BlockMulSub.
 func BlockSolve(a, l []float64, m, n int) {
 	for j := 0; j < n; j++ {
-		ljj := l[j*n+j]
-		for i := 0; i < m; i++ {
-			v := a[j*m+i]
-			for k := 0; k < j; k++ {
-				v -= a[k*m+i] * l[k*n+j]
+		acol := a[j*m : (j+1)*m]
+		k := 0
+		for ; k+4 <= j; k += 4 {
+			l0, l1, l2, l3 := l[k*n+j], l[(k+1)*n+j], l[(k+2)*n+j], l[(k+3)*n+j]
+			a0 := a[k*m:][:len(acol)]
+			a1 := a[(k+1)*m:][:len(acol)]
+			a2 := a[(k+2)*m:][:len(acol)]
+			a3 := a[(k+3)*m:][:len(acol)]
+			for i := range acol {
+				acol[i] -= a0[i]*l0 + a1[i]*l1 + a2[i]*l2 + a3[i]*l3
 			}
-			a[j*m+i] = v / ljj
+		}
+		for ; k < j; k++ {
+			lk := l[k*n+j]
+			ak := a[k*m:][:len(acol)]
+			for i := range acol {
+				acol[i] -= ak[i] * lk
+			}
+		}
+		ljj := l[j*n+j]
+		for i := range acol {
+			acol[i] /= ljj
 		}
 	}
 }

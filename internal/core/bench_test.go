@@ -171,3 +171,95 @@ func benchLookups(b *testing.B, names []Name, get func(Name) *tabRec) {
 		})
 	}
 }
+
+// queueOrders are taskQueue's two forms, the ring and the heap, and
+// queueTasks returns 64 small ints, boxed once, in a scrambled order.
+var queueOrders = []struct {
+	name string
+	less func(a, b any) bool
+}{{"fifo", nil}, {"ordered", func(a, b any) bool { return a.(int) < b.(int) }}}
+
+func queueTasks() []any {
+	tasks := make([]any, 64)
+	for i := range tasks {
+		tasks[i] = i * 7919 % 64
+	}
+	return tasks
+}
+
+// BenchmarkTaskQueue is one push + pop on a queue holding 64 tasks: the
+// ring every application but grobner uses, and the heap under an order.
+func BenchmarkTaskQueue(b *testing.B) {
+	tasks := queueTasks()
+	for _, order := range queueOrders {
+		b.Run(order.name, func(b *testing.B) {
+			var q taskQueue
+			q.setOrder(order.less)
+			for _, task := range tasks {
+				q.push(task)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.push(tasks[i%len(tasks)])
+				taskSink = q.pop()
+			}
+		})
+	}
+}
+
+var taskSink any
+
+// BenchmarkSpawnTaskWhenValues is Cholesky's arming call with two source
+// names. hit: both cached, the task is queued at once (and taken off again
+// by NextTask, which is in the figure). miss2: neither is there, so the
+// call builds a join and files two waiters; the fetches were sent before
+// the timer started, and the values are created after it stops.
+func BenchmarkSpawnTaskWhenValues(b *testing.B) {
+	for _, mode := range []string{"hit", "miss2"} {
+		b.Run(mode, func(b *testing.B) {
+			w := NewWorld(gofab.New(machine.CM5, 2), Options{Coalesce: true})
+			err := w.Run(func(c *Ctx) {
+				srcA, srcB := N2(1, 7, 3), N2(1, 9, 3)
+				create := func() {
+					c.CreateValue(srcA, ints(1), UsesUnlimited)
+					c.CreateValue(srcB, ints(2), UsesUnlimited)
+				}
+				var task any = [3]int32{9, 7, 3}
+				if c.Node() == 0 && mode == "hit" {
+					create()
+				}
+				c.Barrier()
+				if c.Node() == 1 {
+					if mode == "hit" {
+						c.UseValue(srcA).Release()
+						c.UseValue(srcB).Release()
+					} else {
+						c.SpawnTaskWhenValues(task, srcA, srcB)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.SpawnTaskWhenValues(task, srcA, srcB)
+						if mode == "hit" {
+							c.NextTask()
+						}
+					}
+					b.StopTimer()
+				}
+				c.Barrier()
+				if c.Node() == 0 && mode == "miss2" {
+					create()
+				}
+				for {
+					if _, ok := c.NextTask(); !ok {
+						break
+					}
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

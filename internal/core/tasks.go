@@ -1,7 +1,7 @@
 package core
 
 import (
-	"container/heap"
+	"sort"
 
 	"samsys/internal/fabric"
 	"samsys/internal/stats"
@@ -27,9 +27,12 @@ func (c *Ctx) SpawnTask(dst int, task any, size int) {
 }
 
 // SetTaskOrder installs a priority order for the local task queue; tasks
-// for which less reports true run first. Without an order, tasks run FIFO.
+// for which less reports true run first, and tasks less does not order run
+// in the order they were queued. Without an order (or after
+// SetTaskOrder(nil)) tasks run FIFO. Tasks already queued are re-ordered
+// under the new order.
 func (c *Ctx) SetTaskOrder(less func(a, b any) bool) {
-	c.rt.taskq.less = less
+	c.rt.taskq.setOrder(less)
 }
 
 // NextTask returns the next local task, blocking while the queue is empty.
@@ -84,36 +87,40 @@ func (c *Ctx) SpawnTaskWhenValues(task any, names ...Name) {
 	rt := c.rt
 	rt.spawned++
 	rt.ev(trace.EvTaskSpawn, Name{}, rt.node, 0, rt.spawned)
-	remaining := 0
-	var arm []Name
+	// The miss list is complete before the first chargeAddr below: that
+	// call polls, and a value it delivers mid-loop must still be counted
+	// (and fetched) as the miss it was when the task was spawned.
+	var buf [4]Name
+	miss := buf[:0]
 	for _, name := range names {
 		if e := rt.cache.lookup(name); e != nil && e.kind == kindValue && !e.creating {
 			rt.cache.touch(e)
 			continue
 		}
-		remaining++
-		arm = append(arm, name)
+		miss = append(miss, name)
 	}
-	if remaining == 0 {
+	if len(miss) == 0 {
 		rt.enqueueLocal(task)
 		return
 	}
 	cnt := rt.cnt
-	join := &struct{ left int }{left: remaining}
-	for _, name := range arm {
+	join := &taskJoin{left: len(miss), task: task}
+	for _, name := range miss {
 		cnt.SharedAccesses++
 		cnt.ValueUses++
 		cnt.RemoteAccesses++
 		cnt.Prefetches++
 		rt.chargeAddr(c.fc)
-		rt.valWait[name] = append(rt.valWait[name], valWaiter{cb: func(Item) {
-			join.left--
-			if join.left == 0 {
-				rt.enqueueLocal(task)
-			}
-		}})
+		rt.valWait[name] = append(rt.valWait[name], valWaiter{join: join})
 		rt.requestValue(c.fc, name)
 	}
+}
+
+// taskJoin is a task armed by SpawnTaskWhenValues: it is queued when the
+// last of the left values it waits for arrives.
+type taskJoin struct {
+	left int
+	task any
 }
 
 // enqueueLocal adds a pre-counted task to the local queue; safe from
@@ -141,14 +148,7 @@ func (rt *nodeRT) reportIdle(fc fabric.Ctx) {
 }
 
 // handleTask: enqueue and wake the app process if it is waiting.
-func (rt *nodeRT) handleTask(fc fabric.Ctx, m msgTask) {
-	rt.taskq.push(m.task)
-	if rt.taskEv != nil {
-		ev := rt.taskEv
-		rt.taskEv = nil
-		ev.Signal()
-	}
-}
+func (rt *nodeRT) handleTask(fc fabric.Ctx, m msgTask) { rt.enqueueLocal(m.task) }
 
 // termState is node 0's termination-detection state.
 type termState struct {
@@ -297,50 +297,123 @@ func (rt *nodeRT) handleTerminate(fc fabric.Ctx, m msgTerminate) {
 }
 
 // taskQueue is a FIFO queue, or a priority queue once a task order is set.
+// Both live in buf, whose length is zero or a power of two. With no order
+// buf is a ring: the n queued items start at head and wrap. With an order
+// head is 0 and buf[:n] is a binary min-heap under before. Neither form
+// boxes an item or allocates outside growth.
 type taskQueue struct {
-	items []taskItem
-	seq   int64
-	less  func(a, b any) bool
+	buf  []taskItem
+	head int
+	n    int
+	seq  int64
+	less func(a, b any) bool
 }
 
 type taskItem struct {
 	task any
-	seq  int64 // FIFO tie-break keeps priority runs deterministic
+	seq  int64 // spawn order: the tie-break that keeps priority runs deterministic
 }
 
-func (q *taskQueue) Len() int { return len(q.items) }
+func (q *taskQueue) Len() int { return q.n }
 
-func (q *taskQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if q.less != nil {
-		if q.less(a.task, b.task) {
-			return true
-		}
-		if q.less(b.task, a.task) {
-			return false
-		}
+// before is the heap's order: less, then spawn order. Spawn order makes it
+// total, so which task pops next does not depend on how the heap happens
+// to be laid out.
+func (q *taskQueue) before(a, b *taskItem) bool {
+	if q.less(a.task, b.task) {
+		return true
+	}
+	if q.less(b.task, a.task) {
+		return false
 	}
 	return a.seq < b.seq
 }
 
-func (q *taskQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
-
-func (q *taskQueue) Push(x any) { q.items = append(q.items, x.(taskItem)) }
-
-func (q *taskQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = taskItem{}
-	q.items = old[:n-1]
-	return it
-}
-
 func (q *taskQueue) push(task any) {
+	if q.n == len(q.buf) {
+		q.relocate(max(16, 2*len(q.buf)))
+	}
 	q.seq++
-	heap.Push(q, taskItem{task: task, seq: q.seq})
+	it := taskItem{task: task, seq: q.seq}
+	if q.less == nil {
+		q.buf[(q.head+q.n)&(len(q.buf)-1)] = it
+		q.n++
+		return
+	}
+	q.buf[q.n] = it
+	q.n++
+	q.up(q.n - 1)
 }
 
 func (q *taskQueue) pop() any {
-	return heap.Pop(q).(taskItem).task
+	task := q.buf[q.head].task
+	q.n--
+	if q.less == nil {
+		q.buf[q.head] = taskItem{}
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+		return task
+	}
+	q.buf[0] = q.buf[q.n]
+	q.buf[q.n] = taskItem{}
+	q.down(0)
+	return task
+}
+
+// relocate moves the queued items, in ring order, to the front of a new
+// buffer of the given size.
+func (q *taskQueue) relocate(size int) {
+	buf := make([]taskItem, size)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
+
+// setOrder switches the queue to a new order, nil for FIFO, keeping what
+// is queued: the items are laid out from index 0 and then sorted by spawn
+// order (a ring) or heapified (a heap).
+func (q *taskQueue) setOrder(less func(a, b any) bool) {
+	if q.head != 0 {
+		q.relocate(len(q.buf))
+	}
+	q.less = less
+	if less == nil {
+		items := q.buf[:q.n]
+		sort.Slice(items, func(i, j int) bool { return items[i].seq < items[j].seq })
+		return
+	}
+	for i := q.n/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+func (q *taskQueue) up(i int) {
+	it := q.buf[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.before(&it, &q.buf[parent]) {
+			break
+		}
+		q.buf[i] = q.buf[parent]
+		i = parent
+	}
+	q.buf[i] = it
+}
+
+func (q *taskQueue) down(i int) {
+	it := q.buf[i]
+	for {
+		child := 2*i + 1
+		if child >= q.n {
+			break
+		}
+		if r := child + 1; r < q.n && q.before(&q.buf[r], &q.buf[child]) {
+			child = r
+		}
+		if !q.before(&q.buf[child], &it) {
+			break
+		}
+		q.buf[i] = q.buf[child]
+		i = child
+	}
+	q.buf[i] = it
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"samsys/internal/pack"
@@ -173,5 +174,108 @@ func TestStaleIdleReportIgnored(t *testing.T) {
 	rt.handleIdleReport(nil, msgIdleReport{from: 1, spawned: 8, processed: 8})
 	if s, p := rt.term.repS[1], rt.term.repP[1]; s != 8 || p != 8 {
 		t.Errorf("node 1's counts after a newer report = (%d, %d), want (8, 8)", s, p)
+	}
+}
+
+// The tests below drive taskQueue directly, with ints as tasks.
+
+func popAll(q *taskQueue) []int {
+	var got []int
+	for q.Len() > 0 {
+		got = append(got, q.pop().(int))
+	}
+	return got
+}
+
+func TestTaskQueueFIFOAcrossGrowthAndWrap(t *testing.T) {
+	// Three pushes and one pop a round: the ring's head keeps advancing
+	// while it fills, so both doublings (16 -> 32 -> 64) happen with the
+	// queued items wrapped around the end of the buffer.
+	var q taskQueue
+	next, want := 0, 0
+	for q.Len() <= 64 {
+		for i := 0; i < 3; i++ {
+			q.push(next)
+			next++
+		}
+		if got := q.pop().(int); got != want {
+			t.Fatalf("pop = %d, want %d (queue length %d)", got, want, q.Len())
+		}
+		want++
+		if q.Len() != next-want {
+			t.Fatalf("Len = %d after %d pushes and %d pops", q.Len(), next, want)
+		}
+	}
+	if len(q.buf) != 128 {
+		t.Errorf("buffer holds %d slots, want 128 after growing past 64 items", len(q.buf))
+	}
+	for _, got := range popAll(&q) {
+		if got != want {
+			t.Fatalf("draining: pop = %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next || q.Len() != 0 {
+		t.Errorf("drained %d of %d tasks, Len = %d", want, next, q.Len())
+	}
+	// Steady state after the drain: a full lap of the ring, one in one out.
+	for i := 0; i < 300; i++ {
+		q.push(i)
+		if got := q.pop().(int); got != i {
+			t.Fatalf("lap: pop = %d, want %d", got, i)
+		}
+	}
+}
+
+// byTens orders ints by their tens digit only, so 31 and 35 are equal keys.
+func byTens(a, b any) bool { return a.(int)/10 < b.(int)/10 }
+
+func TestTaskQueuePriorityTiesRunInSpawnOrder(t *testing.T) {
+	var q taskQueue
+	q.setOrder(byTens)
+	in := []int{35, 12, 31, 50, 18, 33, 10, 52, 39, 11, 2, 30, 7, 51, 19, 5, 37, 13}
+	for i, v := range in {
+		q.push(v)
+		if q.Len() != i+1 {
+			t.Fatalf("Len = %d after %d pushes", q.Len(), i+1)
+		}
+	}
+	want := []int{2, 7, 5, 12, 18, 10, 11, 19, 13, 35, 31, 33, 39, 30, 37, 50, 52, 51}
+	if got := popAll(&q); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("pop order %v, want %v", got, want)
+	}
+}
+
+func TestSetTaskOrderOnNonEmptyQueue(t *testing.T) {
+	var q taskQueue
+	// Wrap the ring first so the queued items do not start at index 0.
+	for i := 0; i < 10; i++ {
+		q.push(-1)
+		q.pop()
+	}
+	in := []int{41, 22, 47, 3, 25, 40, 21, 9}
+	for _, v := range in {
+		q.push(v)
+	}
+	q.setOrder(byTens)
+	q.push(20)
+	if got, want := q.pop().(int), 3; got != want {
+		t.Fatalf("first pop under the new order = %d, want %d", got, want)
+	}
+	// Back to FIFO with items queued: what is left runs in spawn order.
+	q.setOrder(nil)
+	q.push(1)
+	want := []int{41, 22, 47, 25, 40, 21, 9, 20, 1}
+	if got := popAll(&q); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("pop order after SetTaskOrder(nil) %v, want %v", got, want)
+	}
+	// And ordered again: the heap is rebuilt from the ring.
+	for _, v := range in {
+		q.push(v)
+	}
+	q.setOrder(byTens)
+	want = []int{3, 9, 22, 25, 21, 41, 47, 40}
+	if got := popAll(&q); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("pop order after re-ordering %v, want %v", got, want)
 	}
 }

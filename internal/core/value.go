@@ -252,6 +252,11 @@ func (rt *nodeRT) wakeValWaiters(fc fabric.Ctx, e *entry) {
 		if w.cb != nil {
 			w.cb(e.item)
 		}
+		if j := w.join; j != nil {
+			if j.left--; j.left == 0 {
+				rt.enqueueLocal(j.task)
+			}
+		}
 	}
 	rt.cache.reindex(e)
 }

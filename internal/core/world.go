@@ -175,13 +175,15 @@ func (rt *nodeRT) emit(kind trace.Kind, name Name, peer int, size int64, aux int
 		Name: trace.Name(name), Peer: int32(peer), Size: size, Aux: aux})
 }
 
-// valWaiter is one local party waiting for a data item to arrive: either a
-// blocked application call (ev) or an asynchronous fetch callback (cb).
-// If pin is set the arriving copy is pinned on behalf of the waiter.
+// valWaiter is one local party waiting for a data item to arrive: a
+// blocked application call (ev), an asynchronous fetch callback (cb) or a
+// task armed on the item (join). If pin is set the arriving copy is pinned
+// on behalf of the waiter.
 type valWaiter struct {
-	ev  fabric.Event
-	cb  func(Item)
-	pin bool
+	ev   fabric.Event
+	cb   func(Item)
+	join *taskJoin
+	pin  bool
 }
 
 // dirEntry is home-node directory state for one name.

@@ -93,3 +93,78 @@ func TestCachedUseValueZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskQueueZeroAlloc: at steady state a push/pop pair allocates
+// nothing, FIFO or ordered — no boxing of the queued item, no growth.
+func TestTaskQueueZeroAlloc(t *testing.T) {
+	tasks := queueTasks()
+	for _, order := range queueOrders {
+		var q taskQueue
+		q.setOrder(order.less)
+		for _, task := range tasks {
+			q.push(task)
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(1000, func() {
+			q.push(tasks[i%len(tasks)])
+			q.pop()
+			i++
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocs per push/pop pair, want 0", order.name, allocs)
+		}
+	}
+}
+
+// TestSpawnTaskWhenValuesAllocs: a task armed on two missing values costs
+// one allocation, its join record (the waiter lists' growth amortises to
+// nothing); with both values cached it costs none.
+func TestSpawnTaskWhenValuesAllocs(t *testing.T) {
+	var hit, miss float64
+	var ran int
+	w := NewWorld(gofab.New(machine.CM5, 2), Options{})
+	err := w.Run(func(c *Ctx) {
+		cachedA, cachedB := N1(tagT, 1), N1(tagT, 2)
+		lateA, lateB := N1(tagT, 3), N1(tagT, 4)
+		var task any = "armed"
+		if c.Node() == 0 {
+			c.CreateValue(cachedA, ints(1), UsesUnlimited)
+			c.CreateValue(cachedB, ints(2), UsesUnlimited)
+		}
+		c.Barrier()
+		if c.Node() == 1 {
+			c.UseValue(cachedA).Release()
+			c.UseValue(cachedB).Release()
+			hit = testing.AllocsPerRun(1000, func() {
+				c.SpawnTaskWhenValues(task, cachedA, cachedB)
+				c.NextTask()
+			})
+			miss = testing.AllocsPerRun(1000, func() {
+				c.SpawnTaskWhenValues(task, lateA, lateB)
+			})
+		}
+		c.Barrier()
+		// Only now do the awaited values appear; every armed task runs.
+		if c.Node() == 0 {
+			c.CreateValue(lateA, ints(3), UsesUnlimited)
+			c.CreateValue(lateB, ints(4), UsesUnlimited)
+		}
+		for {
+			if _, ok := c.NextTask(); !ok {
+				break
+			}
+			ran++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit != 0 {
+		t.Errorf("both values cached: %v allocs per spawn + NextTask, want 0", hit)
+	}
+	if miss > 1 {
+		t.Errorf("two values missing: %v allocs per spawn, want at most 1", miss)
+	}
+	if ran != 1001 { // AllocsPerRun's warm-up call armed one more
+		t.Errorf("%d armed tasks ran once their values arrived, want 1001", ran)
+	}
+}

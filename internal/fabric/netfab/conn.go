@@ -324,8 +324,16 @@ func trimAcked(unacked []outFrame, acked int64) []outFrame {
 // until the receiver's cumulative ack covers it; a connection error — a
 // real reset, a write timeout, or an injected fault — triggers a redial
 // and a resend of the whole window (the receiver suppresses duplicates by
-// sequence number). Closing the out-queue flushes and closes the connection.
+// sequence number). The writer owns the link's connection and closes
+// whichever incarnation is current on every way out: one left open keeps
+// the peer's readLoop and this side's ackLoop parked in a read, and with
+// them the whole fabric alive. Node.Close closes the out-queue right after
+// the stop channel, so the idle writer waits for the queue alone and
+// writes what is still queued before it goes; only a writer stuck on a
+// full window, whose peer has stopped acknowledging, gives up on stop.
+// Every batch ends in a flush, so nothing is buffered at either exit.
 func (f *Fab) writeLoop(p *peer, conn net.Conn, out <-chan outFrame) {
+	defer p.closeConn()
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	stop := f.node.Closed()
 	var unacked []outFrame
@@ -357,12 +365,8 @@ func (f *Fab) writeLoop(p *peer, conn net.Conn, out <-chan outFrame) {
 		case of, ok = <-out:
 		case <-p.notify:
 			continue
-		case <-stop:
-			return
 		}
 		if !ok {
-			bw.Flush()
-			p.closeConn()
 			return
 		}
 		werr := false
@@ -400,15 +404,12 @@ func (f *Fab) writeLoop(p *peer, conn net.Conn, out <-chan outFrame) {
 			}
 			if closed {
 				// Shutdown raced the failure; the redial already resent
-				// everything outstanding.
-				bw.Flush()
-				p.closeConn()
+				// (and flushed) everything outstanding.
 				return
 			}
 			continue
 		}
 		if closed {
-			p.closeConn()
 			return
 		}
 	}
@@ -570,6 +571,27 @@ func (f *Fab) sendAck(conn net.Conn, bw *bufio.Writer, seq int64) error {
 	return bw.Flush()
 }
 
+// decodeData decodes the body of one frData frame. The payload is decoded
+// in alias mode: readFrame allocates a body per frame and nothing reuses
+// it, so a pack.Float64s or pack.Bytes in the payload can be the body's own
+// bytes (the encoder pads float blocks to 8 for this) and the body lives
+// exactly as long as the items cut from it. A block that is not 8-aligned
+// in memory is copied out instead.
+func decodeData(body []byte) (size int, seq int64, payload any, err error) {
+	d := wire.NewDecoder(body)
+	d.SetAlias(true)
+	if kind := d.Uint8(); kind != frData {
+		return 0, 0, nil, fmt.Errorf("unexpected frame kind %d", kind)
+	}
+	size = d.Int()
+	seq = d.Varint()
+	payload = d.Any()
+	if d.Err() != nil {
+		return 0, 0, nil, fmt.Errorf("decode: %w", d.Err())
+	}
+	return size, seq, payload, nil
+}
+
 // readLoop decodes data frames from one incarnation of an incoming link
 // and hands them to Node.Deliver. Per-link FIFO and exactly-once
 // delivery are enforced structurally: under the link mutex a frame is
@@ -602,16 +624,9 @@ func (f *Fab) readLoop(conn net.Conn, br *bufio.Reader, src int, resume bool) {
 			}
 			return
 		}
-		d := wire.NewDecoder(body)
-		if kind := d.Uint8(); kind != frData {
-			f.fatalf("link %d->%d: unexpected frame kind %d", src, f.rank, kind)
-			return
-		}
-		size := d.Int()
-		seq := d.Varint()
-		payload := d.Any()
-		if d.Err() != nil {
-			f.fatalf("link %d->%d: decode: %v", src, f.rank, d.Err())
+		size, seq, payload, err := decodeData(body)
+		if err != nil {
+			f.fatalf("link %d->%d: %v", src, f.rank, err)
 			return
 		}
 		link.mu.Lock()
