@@ -29,17 +29,18 @@ func main() {
 		case 0: // producer
 			for i := 0; i < items; i++ {
 				var buf pack.Float64s
+				var ref sam.CreateRef
 				if i < slots {
-					buf = sam.CreateInPlace(c, name(i), make(pack.Float64s, 4), 1)
+					buf, ref = sam.CreateInPlace(c, name(i), make(pack.Float64s, 4), 1)
 				} else {
 					// Reuse the storage of item i-4; SAM suspends us here
 					// until the consumer has consumed it.
-					buf = sam.Rename[pack.Float64s](c, name(i-slots), name(i), 1)
+					buf, ref = sam.Rename[pack.Float64s](c, name(i-slots), name(i), 1)
 				}
 				for k := range buf {
 					buf[k] = float64(i*10 + k)
 				}
-				c.EndCreateValue(name(i))
+				ref.Publish()
 				c.Compute(5e4) // produce the next item
 			}
 		case 1: // consumer

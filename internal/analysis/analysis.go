@@ -1,10 +1,10 @@
 // Package analysis statically checks SAM client code for protocol
 // misuse: the usage discipline the paper's programming model demands
 // but the Go compiler cannot see. Values are single-assignment and must
-// be published with EndCreateValue before anyone reads them; accumulator
-// access is mutually exclusive, so blocking while holding one can
-// deadlock (paper section 3.2); and every Begin* borrow returns storage
-// owned by the per-node cache that becomes invalid at the matching End*.
+// be published before anyone reads them; accumulator access is mutually
+// exclusive, so blocking while holding one can deadlock (paper section
+// 3.2); and every borrow hands out storage owned by the per-node cache
+// that becomes invalid when the borrow's handle is closed.
 //
 // The dynamic checker in internal/trace validates these invariants on
 // the paths a run happens to take; this package catches misuse before
@@ -59,7 +59,6 @@ var Analyzers = []*Analyzer{
 	HandlerBlock,
 	ReplyOnce,
 	WireReg,
-	DeprecatedAPI,
 }
 
 // Pass carries one package through the suite. The protocol analyzers

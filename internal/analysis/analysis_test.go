@@ -41,19 +41,7 @@ func TestGolden(t *testing.T) {
 			if len(pkg.Errs) > 0 {
 				t.Fatalf("type errors in %s: %v", file, pkg.Errs)
 			}
-			// Most corpora exercise the Begin*/End* discipline on purpose;
-			// deprecatedapi only runs on its own files so the old-API
-			// fixtures stay focused on the analyzer under test.
-			analyzers := Analyzers
-			if !strings.HasPrefix(filepath.Base(file), "deprecatedapi") {
-				analyzers = nil
-				for _, a := range Analyzers {
-					if a.Name != "deprecatedapi" {
-						analyzers = append(analyzers, a)
-					}
-				}
-			}
-			diags := Run(pkg, analyzers)
+			diags := Run(pkg, Analyzers)
 
 			src, err := os.ReadFile(file)
 			if err != nil {

@@ -10,38 +10,38 @@ import (
 // and pull their findings out of it by name; ctxleak is a separate
 // syntactic pass.
 
-// PairDiscipline checks that every Begin* borrow reaches its matching
-// End* with the same name expression on every path out of the function,
-// including early returns. Functions that return the borrowed item to
-// their caller (wrappers like dset.BeginGet) are exempt on the returning
-// path, and an End* with no local Begin* is never flagged (the closing
-// half of such a wrapper).
+// PairDiscipline checks that every borrow's handle reaches its closer
+// (Release, Commit/CommitToValue, Publish) on every path out of the
+// function, including early returns. Functions that return the handle to
+// their caller (wrappers like dset.Get) are exempt on the returning
+// path, and a close of a handle with no local opener is never flagged
+// (the closing half of such a wrapper).
 var PairDiscipline = &Analyzer{
 	Name: "pairdiscipline",
-	Doc:  "Begin* borrow must reach its matching End* on every path",
+	Doc:  "a borrow's handle must reach its closer on every path",
 	run: func(p *Pass) []Diagnostic {
 		return p.protocol().diags["pairdiscipline"]
 	},
 }
 
-// BorrowEscape checks that the Item returned by a Begin* call does not
-// outlive its End*: stored into a struct field or package-level
+// BorrowEscape checks that a borrowed Item does not outlive the close of
+// its handle: stored into a struct field or package-level
 // variable, sent on a channel, or captured by a closure handed to a
 // goroutine or asynchronous task. The storage belongs to the per-node
 // cache and is invalid after the borrow ends; the dynamic checker only
 // catches the stale access if it happens to execute.
 var BorrowEscape = &Analyzer{
 	Name: "borrowescape",
-	Doc:  "a borrowed Item must not outlive its End*",
+	Doc:  "a borrowed Item must not outlive its handle's close",
 	run: func(p *Pass) []Diagnostic {
 		return p.protocol().diags["borrowescape"]
 	},
 }
 
 // SingleAssign checks the single-assignment discipline on values:
-// no writes through a BeginUseValue/BeginReadChaotic borrow (reads
-// only), no writes to a value's item after EndCreateValue publishes it,
-// and no second publication of the same name on one path.
+// no writes through a UseValue/ReadChaotic borrow (reads only), no
+// writes to a value's item after Publish, and no second publication of
+// the same name on one path.
 var SingleAssign = &Analyzer{
 	Name: "singleassign",
 	Doc:  "values are single-assignment; use/chaotic borrows are read-only",
@@ -50,11 +50,11 @@ var SingleAssign = &Analyzer{
 	},
 }
 
-// HoldBlock warns when a blocking operation (Barrier, BeginUseValue,
-// NextTask, BeginRenameValue, or a nested BeginUpdateAccum) can run
-// between BeginUpdateAccum and its End: accumulator access is mutually
-// exclusive, so a holder that blocks on another processor can deadlock
-// (paper section 3.2).
+// HoldBlock warns when a blocking operation (Barrier, UseValue,
+// NextTask, BeginRenameValue, or a nested UpdateAccum) can run between
+// UpdateAccum and its Commit: accumulator access is mutually exclusive,
+// so a holder that blocks on another processor can deadlock (paper
+// section 3.2).
 var HoldBlock = &Analyzer{
 	Name: "holdblock",
 	Doc:  "no blocking operations while holding an accumulator",

@@ -6,12 +6,11 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // analyzers2.go holds the whole-program analyzers introduced with the
-// interprocedural summary engine (program.go): handlerblock, replyonce,
-// wirereg, and deprecatedapi. They all need a *Program — under the
+// interprocedural summary engine (program.go): handlerblock, replyonce
+// and wirereg. They all need a *Program — under the
 // single-package Run entry point one is built on the fly, so the golden
 // tests exercise them too.
 
@@ -202,76 +201,6 @@ func runWireReg(p *Pass) []Diagnostic {
 			Message:  fmt.Sprintf("%s is sent on the fabric but has no wire.Register codec; a run on a real network fabric would panic encoding it", m.key),
 			Hint:     "register the type in an init() with wire.Register, next to its definition",
 		})
-	}
-	return diags
-}
-
-// DeprecatedAPI flags remaining call sites of the superseded borrow API
-// outside the runtime package itself: the seven Ctx methods core's own
-// doc comments mark "Deprecated:". The handle API (UseValue/UpdateAccum/
-// ReadChaotic and the typed accessors) replaced them: handles tie the
-// closing half to the opener statically instead of matching by name.
-// The create/rename surface (BeginCreateValue, EndCreateValue,
-// BeginRenameValue) is current API — the in-place flows publish through
-// EndCreateValue — and is not flagged. Functions whose own doc comment
-// carries a "Deprecated:" notice are exempt: they are the compat shims.
-var DeprecatedAPI = &Analyzer{
-	Name: "deprecatedapi",
-	Doc:  "migrate remaining deprecated Begin*/End* call sites to the handle API",
-	run:  runDeprecatedAPI,
-}
-
-// deprecatedNames maps the superseded calls to their replacements,
-// mirroring the "Deprecated:" notices in internal/core.
-var deprecatedNames = map[string]string{
-	"BeginUseValue":         "UseValue, or the typed Use",
-	"EndUseValue":           "the ValueRef's Release",
-	"BeginUpdateAccum":      "UpdateAccum, or the typed Update",
-	"EndUpdateAccum":        "the AccumRef's Commit",
-	"EndUpdateAccumToValue": "the AccumRef's CommitToValue",
-	"BeginReadChaotic":      "ReadChaotic, or the typed ReadChaotic",
-	"EndReadChaotic":        "the ChaoticRef's Release",
-}
-
-func runDeprecatedAPI(p *Pass) []Diagnostic {
-	if p.Pkg.Path == ctxPkgPath || p.Pkg.Path == samPkgPath {
-		return nil // the runtime and its facade implement the old surface
-	}
-	var diags []Diagnostic
-	for _, f := range p.Pkg.Files {
-		for _, d := range f.Decls {
-			decl, ok := d.(*ast.FuncDecl)
-			if !ok || decl.Body == nil {
-				continue
-			}
-			if decl.Doc != nil && strings.Contains(decl.Doc.Text(), "Deprecated:") {
-				continue // a compat shim wrapping the old surface
-			}
-			ast.Inspect(decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if p.samCall(call) == opNone {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				repl, ok := deprecatedNames[sel.Sel.Name]
-				if !ok {
-					return true
-				}
-				diags = append(diags, Diagnostic{
-					Pos:      p.Pkg.Fset.Position(call.Pos()),
-					Analyzer: "deprecatedapi",
-					Message:  fmt.Sprintf("%s is the superseded borrow API; use %s", sel.Sel.Name, repl),
-					Hint:     "handles tie the close to the opener statically, which the name-matched End* cannot",
-				})
-				return true
-			})
-		}
 	}
 	return diags
 }

@@ -14,7 +14,7 @@ import (
 
 // buggyStep is the compiled copy of testdata/crosscheck.go: the same
 // name is published on node 0 and again on node 1, and the rare branch
-// returns without EndUseValue. Keep the two in sync.
+// returns without releasing its borrow. Keep the two in sync.
 func buggyStep(c *core.Ctx, rare bool) {
 	name := core.N1(9, 1)
 	if c.Node() == 0 {
@@ -24,12 +24,12 @@ func buggyStep(c *core.Ctx, rare bool) {
 	if c.Node() == 1 {
 		c.CreateValue(name, pack.Ints{2}, core.UsesUnlimited)
 	}
-	v := c.BeginUseValue(name).(pack.Ints)
+	v, ref := core.Use[pack.Ints](c, name)
 	if rare {
 		return
 	}
 	_ = v[0]
-	c.EndUseValue(name)
+	ref.Release()
 }
 
 // TestStaticMatchesDynamicChecker runs the same buggy miniature app
@@ -60,7 +60,7 @@ func TestStaticMatchesDynamicChecker(t *testing.T) {
 		switch {
 		case d.Analyzer == "singleassign" && strings.Contains(d.Message, "published twice"):
 			staticDouble = true
-		case d.Analyzer == "pairdiscipline" && strings.Contains(d.Message, "EndUseValue"):
+		case d.Analyzer == "pairdiscipline" && strings.Contains(d.Message, "does not reach Release"):
 			staticLeak = true
 		}
 	}
@@ -94,7 +94,7 @@ func TestStaticMatchesDynamicChecker(t *testing.T) {
 		if strings.Contains(v, "published twice") {
 			dynDouble = true
 		}
-		if strings.Contains(v, "EndUseValue") || strings.Contains(v, "pin") {
+		if strings.Contains(v, "Release") || strings.Contains(v, "pin") {
 			dynLeak = true
 		}
 	}

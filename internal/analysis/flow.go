@@ -13,9 +13,9 @@ import (
 // over the CFG tracks which borrows are open, which create borrows have
 // been published, which value names have been published, and which local
 // variables hold borrow results. Borrow instances are identified by
-// Begin* call site; Begin/End matching is by the textual name expression
-// (types.ExprString), which is how the paper's programs are written and
-// what makes the pairing check decidable.
+// opener call site and closed through their handle; the name expression
+// is kept only as the key publications are compared by (singleassign)
+// and for diagnostics.
 
 type borrowKind int
 
@@ -26,65 +26,40 @@ const (
 	kindChaotic
 )
 
-// kindEnd names the closing call for diagnostics.
-var kindEnd = map[borrowKind]string{
-	kindCreate:  "EndCreateValue",
-	kindUse:     "EndUseValue",
-	kindAccum:   "EndUpdateAccum",
-	kindChaotic: "EndReadChaotic",
-}
-
 func beginKind(op samOp) borrowKind {
 	switch op {
-	case opBeginCreate, opBeginRename, opTypedCreateInPlace, opTypedRename:
+	case opCreateRef, opRenameRef, opTypedCreateInPlace, opTypedRename:
 		return kindCreate
-	case opBeginUse, opUseRef, opTypedUse:
+	case opUseRef, opTypedUse:
 		return kindUse
-	case opBeginAccum, opUpdateRef, opTypedUpdate:
+	case opUpdateRef, opTypedUpdate:
 		return kindAccum
 	}
 	return kindChaotic
 }
 
-// closerName names the call that ends borrow i, for diagnostics: the
-// End* call for Begin borrows, the handle method for handle borrows.
+// closerName names the handle method that ends borrow i, for diagnostics.
 func closerName(i *inst) string {
-	if !i.handle {
-		return kindEnd[i.kind]
-	}
-	if i.kind == kindAccum {
+	switch i.kind {
+	case kindCreate:
+		return "Publish"
+	case kindAccum:
 		return "Commit"
 	}
 	return "Release"
 }
 
-// endCloses maps a closing operation to the borrow kind it closes.
-func endCloses(op samOp) (borrowKind, bool) {
-	switch op {
-	case opEndCreate:
-		return kindCreate, true
-	case opEndUse:
-		return kindUse, true
-	case opEndAccum, opEndAccumToValue:
-		return kindAccum, true
-	case opEndChaotic:
-		return kindChaotic, true
-	}
-	return 0, false
-}
-
-// inst is one borrow instance: a Begin* call site, or a call to a
+// inst is one borrow instance: an opener call site, or a call to a
 // helper whose interprocedural summary opens a borrow on the caller's
 // behalf (op is opNone and label names the helper).
 type inst struct {
-	op     samOp
-	kind   borrowKind
-	key    string    // canonicalized name expression
-	parts  []keyPart // the key's part sequence, for summary extraction
-	pos    token.Pos
-	free   map[types.Object]bool // locals the key depends on
-	label  string                // helper name for summary-opened borrows
-	handle bool                  // closed through a returned ref, not an End*
+	op    samOp
+	kind  borrowKind
+	key   string    // canonicalized name expression
+	parts []keyPart // the key's part sequence, for summary extraction
+	pos   token.Pos
+	free  map[types.Object]bool // locals the key depends on
+	label string                // helper name for summary-opened borrows
 }
 
 // display names the opener for diagnostics.
@@ -95,42 +70,29 @@ func (i *inst) display() string {
 	return opName[i.op]
 }
 
-// closeFact records a net borrow close: an End* (or a summarized closer)
-// with no matching Begin in this function — the closing half of a
-// wrapper. Facts that hold at every exit become the function's closer
-// summary.
-type closeFact struct {
-	kind  borrowKind
-	key   string
-	parts []keyPart
-	pub   bool // the close publishes (EndCreateValue/EndUpdateAccumToValue)
-	// refObj, when set, records a handle close instead of a name close:
-	// the fact closes whatever borrow the given parameter's handle holds
-	// (ipgPut(ref) { ref.Release() } — the closing half of a handle
-	// wrapper, matched by argument position rather than name).
-	refObj types.Object
-}
-
-// pubFact records one publication (EndCreateValue, EndUpdateAccumToValue
-// or CreateValue) of a value name.
+// pubFact records one publication (Publish, CommitToValue or CreateValue)
+// of a value name.
 type pubFact struct {
 	pos  token.Pos
 	free map[types.Object]bool
 }
 
 // flowState is the per-program-point fact set. open/done/pub/vars are
-// may-facts (unioned at joins); alias/mopen/mclosed are must-facts
-// (intersected at joins): an alias or an open/closed obligation only
-// survives a join when it holds on every incoming path.
+// may-facts (unioned at joins); mopen/mclosed are must-facts (intersected
+// at joins): an open/closed obligation only survives a join when it holds
+// on every incoming path.
 type flowState struct {
 	open map[*inst]bool               // borrows possibly open here
 	done map[*inst]bool               // create borrows already published
 	pub  map[string]map[*pubFact]bool // value names already published
 	vars map[types.Object]map[*inst]bool
 
-	alias   map[types.Object]string // local var -> canonical key it copies
-	mopen   map[*inst]bool          // borrows open on EVERY path here
-	mclosed map[string]*closeFact   // net closes performed on every path
+	mopen map[*inst]bool // borrows open on EVERY path here
+	// mclosed holds the handle variables closed on every path with no
+	// local opener — the closing half of a handle wrapper
+	// (ipgPut(ref) { ref.Release() }); facts on parameters become the
+	// function's closer summary. The value records a publishing close.
+	mclosed map[types.Object]bool
 }
 
 func newFlowState() *flowState {
@@ -139,9 +101,8 @@ func newFlowState() *flowState {
 		done:    make(map[*inst]bool),
 		pub:     make(map[string]map[*pubFact]bool),
 		vars:    make(map[types.Object]map[*inst]bool),
-		alias:   make(map[types.Object]string),
 		mopen:   make(map[*inst]bool),
-		mclosed: make(map[string]*closeFact),
+		mclosed: make(map[types.Object]bool),
 	}
 }
 
@@ -167,14 +128,11 @@ func (st *flowState) clone() *flowState {
 		}
 		c.vars[obj] = m
 	}
-	for obj, a := range st.alias {
-		c.alias[obj] = a
-	}
 	for k := range st.mopen {
 		c.mopen[k] = true
 	}
-	for k, f := range st.mclosed {
-		c.mclosed[k] = f
+	for k, pub := range st.mclosed {
+		c.mclosed[k] = pub
 	}
 	return c
 }
@@ -221,12 +179,6 @@ func (st *flowState) mergeFrom(other *flowState) bool {
 			}
 		}
 	}
-	for obj, a := range st.alias {
-		if other.alias[obj] != a {
-			delete(st.alias, obj)
-			changed = true
-		}
-	}
 	for k := range st.mopen {
 		if !other.mopen[k] {
 			delete(st.mopen, k)
@@ -234,7 +186,7 @@ func (st *flowState) mergeFrom(other *flowState) bool {
 		}
 	}
 	for k := range st.mclosed {
-		if other.mclosed[k] == nil {
+		if _, ok := other.mclosed[k]; !ok {
 			delete(st.mclosed, k)
 			changed = true
 		}
@@ -298,7 +250,7 @@ type exitRec struct {
 	pos      token.Pos
 	open     map[*inst]bool
 	mopen    map[*inst]bool
-	mclosed  map[string]*closeFact
+	mclosed  map[types.Object]bool
 	returned map[*inst]bool
 }
 
@@ -372,7 +324,6 @@ func (fa *flowAnalysis) transferNode(st *flowState, n ast.Node) {
 		if t.direct && t.obj != nil {
 			fa.killFacts(st, t.obj)
 			delete(st.vars, t.obj)
-			delete(st.alias, t.obj)
 		}
 	case *ast.RangeStmt:
 		// Per-iteration reassignment of the loop variables.
@@ -388,7 +339,6 @@ func (fa *flowAnalysis) transferNode(st *flowState, n ast.Node) {
 			if obj != nil {
 				fa.killFacts(st, obj)
 				delete(st.vars, obj)
-				delete(st.alias, obj)
 			}
 		}
 	case *ast.CaseClause:
@@ -398,7 +348,6 @@ func (fa *flowAnalysis) transferNode(st *flowState, n ast.Node) {
 		if obj := fa.p.Pkg.Info.Implicits[n]; obj != nil {
 			fa.killFacts(st, obj)
 			delete(st.vars, obj)
-			delete(st.alias, obj)
 		}
 		for _, e := range n.List {
 			fa.calls(st, e)
@@ -479,7 +428,6 @@ func (fa *flowAnalysis) assign(st *flowState, a *ast.AssignStmt) {
 				fa.checkWrite(st, t, l.Pos())
 				if t.direct && t.obj != nil {
 					fa.killFacts(st, t.obj)
-					delete(st.alias, t.obj)
 					st.vars[t.obj] = map[*inst]bool{i: true}
 				}
 			}
@@ -511,44 +459,24 @@ func (fa *flowAnalysis) bindOne(st *flowState, lhs, rhs ast.Expr) {
 	if !t.direct || t.obj == nil {
 		return
 	}
-	// A whole-variable copy of another local (`n := cn`) records an
-	// alias: n canonicalizes to cn's key until either is rebound, so an
-	// End through the copy still matches the Begin through the source.
-	// Resolve the source before killing the target's own facts (self-
-	// assignment edge).
-	newAlias, haveAlias := "", false
+	// Resolve the source's borrows before killing the target's own facts
+	// (self-assignment edge).
+	var src map[*inst]bool
 	if rhs != nil {
-		if v, ok := fa.p.usedIdent(rhs).(*types.Var); ok && v != t.obj &&
-			!v.IsField() && v.Parent() != nil && v.Parent().Parent() != types.Universe {
-			if a, ok := st.alias[v]; ok {
-				newAlias = a
-			} else {
-				newAlias = v.Name()
-			}
-			haveAlias = true
+		if i := fa.beginInst(rhs); i != nil {
+			src = map[*inst]bool{i: true}
+		} else if obj := fa.p.usedIdent(fa.p.borrowSource(rhs)); obj != nil {
+			src = st.vars[obj]
 		}
 	}
 	fa.killFacts(st, t.obj)
 	delete(st.vars, t.obj)
-	delete(st.alias, t.obj)
-	if rhs == nil {
-		return
-	}
-	if haveAlias {
-		st.alias[t.obj] = newAlias
-	}
-	if i := fa.beginInst(rhs); i != nil {
-		st.vars[t.obj] = map[*inst]bool{i: true}
-		return
-	}
-	if obj := fa.p.usedIdent(rhs); obj != nil {
-		if m := st.vars[obj]; len(m) > 0 {
-			cp := make(map[*inst]bool, len(m))
-			for i := range m {
-				cp[i] = true
-			}
-			st.vars[t.obj] = cp
+	if len(src) > 0 {
+		cp := make(map[*inst]bool, len(src))
+		for i := range src {
+			cp[i] = true
 		}
+		st.vars[t.obj] = cp
 	}
 }
 
@@ -562,12 +490,12 @@ func (fa *flowAnalysis) checkWrite(st *flowState, t writeTarget, pos token.Pos) 
 		if st.open[i] && (i.kind == kindUse || i.kind == kindChaotic) {
 			fa.report("singleassign", pos,
 				fmt.Sprintf("write through the read-only %s(%s) borrow", i.display(), i.key),
-				"use/chaotic borrows are read-only; mutate through BeginUpdateAccum instead")
+				"use/chaotic borrows are read-only; mutate through UpdateAccum instead")
 		}
 		if st.done[i] {
 			fa.report("singleassign", pos,
 				fmt.Sprintf("write to the item of %s after %s published it (values are single-assignment)",
-					i.key, kindEnd[i.kind]),
+					i.key, closerName(i)),
 				"published values are immutable; create a new value or use BeginRenameValue")
 		}
 	}
@@ -593,14 +521,14 @@ func (fa *flowAnalysis) killFacts(st *flowState, obj types.Object) {
 	}
 }
 
-// heldInsts returns the open borrow instances e (an identifier or a
-// direct Begin* call) evaluates to.
+// heldInsts returns the open borrow instances e (an identifier, a direct
+// opener call, or either one's Item()) evaluates to.
 func (fa *flowAnalysis) heldInsts(st *flowState, e ast.Expr) []*inst {
 	var out []*inst
 	if i := fa.beginInst(e); i != nil && st.open[i] {
 		out = append(out, i)
 	}
-	if obj := fa.p.usedIdent(e); obj != nil {
+	if obj := fa.p.usedIdent(fa.p.borrowSource(e)); obj != nil {
 		for i := range st.vars[obj] {
 			if st.open[i] {
 				out = append(out, i)
@@ -610,12 +538,33 @@ func (fa *flowAnalysis) heldInsts(st *flowState, e ast.Expr) []*inst {
 	return out
 }
 
-// beginInst resolves e to the borrow instance of a direct Begin* call.
+// beginInst resolves e to the borrow instance of a direct opener call.
 func (fa *flowAnalysis) beginInst(e ast.Expr) *inst {
-	if c, ok := unwrap(e).(*ast.CallExpr); ok {
+	if c, ok := fa.p.borrowSource(e).(*ast.CallExpr); ok {
 		return fa.insts[c]
 	}
 	return nil
+}
+
+// borrowSource strips parentheses, type assertions and a handle's own
+// Item() accessor, so `ref.Item().(T)` resolves to ref and
+// `c.UseValue(n).Item()` to the opener call.
+func (p *Pass) borrowSource(e ast.Expr) ast.Expr {
+	for {
+		e = unwrap(e)
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return e
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Item" {
+			return e
+		}
+		if tv, ok := p.Pkg.Info.Types[sel.X]; !ok || !isRefType(tv.Type) {
+			return e
+		}
+		e = sel.X
+	}
 }
 
 // calls applies every SAM runtime call inside n (not descending into
@@ -666,28 +615,25 @@ func (fa *flowAnalysis) applyCall(st *flowState, call *ast.CallExpr) {
 		fa.holdCheck(st, call, opName[op], "")
 	}
 	switch op {
-	case opBeginCreate, opBeginRename, opBeginUse, opBeginAccum, opBeginChaotic,
-		opUseRef, opUpdateRef, opChaoticRef,
+	case opUseRef, opUpdateRef, opChaoticRef, opCreateRef, opRenameRef,
 		opTypedUse, opTypedUpdate, opTypedChaotic,
 		opTypedCreateInPlace, opTypedRename:
-		if op == opBeginRename && len(call.Args) > 0 {
-			delete(st.pub, renderParts(st, fa.p.partsOf(call.Args[0]))) // the old name is retired
+		if op == opRenameRef && len(call.Args) > 0 {
+			delete(st.pub, renderParts(fa.p.partsOf(call.Args[0]))) // the old name is retired
 		}
 		if op == opTypedRename && len(call.Args) > 1 {
-			delete(st.pub, renderParts(st, fa.p.partsOf(call.Args[1])))
+			delete(st.pub, renderParts(fa.p.partsOf(call.Args[1])))
 		}
-		i := fa.instFor(st, call, op)
+		i := fa.instFor(call, op)
 		st.open[i] = true
 		st.mopen[i] = true
 		delete(st.done, i)
-	case opEndCreate, opEndUse, opEndAccum, opEndAccumToValue, opEndChaotic:
-		fa.closeOp(st, op, call)
-	case opRefRelease, opRefCommit, opRefCommitToValue:
+	case opRefRelease, opRefCommit, opRefCommitToValue, opRefPublish:
 		fa.closeRef(st, op, call)
 	case opCreateValue, opTypedCreate:
 		fa.publish(st, nameArg(op, call), call)
 	case opDestroyValue, opConvertToAccum:
-		delete(st.pub, renderParts(st, fa.p.partsOf(nameArg(op, call))))
+		delete(st.pub, renderParts(fa.p.partsOf(nameArg(op, call))))
 	case opSpawnTask, opSpawnWhenValues:
 		fa.checkCapture(st, call, "an asynchronous task")
 	case opFetchValueAsync, opAcquireAsync, opChaoticAsync, opRenameAsync:
@@ -731,30 +677,11 @@ func (fa *flowAnalysis) applySummary(st *flowState, call *ast.CallExpr, pf *prog
 		return fa.p.partsOf(e)
 	}
 	for _, cs := range sum.closes {
-		if cs.handleIdx >= 0 {
-			arg := callArg(call, cs.handleIdx)
-			if arg == nil {
-				continue
-			}
-			// The callee closes whatever borrow the handle argument at
-			// this position holds — exactly closeRef, one call deeper.
-			for _, i := range fa.heldInsts(st, arg) {
-				delete(st.open, i)
-				delete(st.mopen, i)
-				if i.kind == kindCreate {
-					st.done[i] = true
-				}
-				if cs.pub {
-					fa.publishKey(st, i.key, i.free, call)
-				}
-			}
-			continue
+		// The callee closes whatever borrow the handle argument at this
+		// position holds — exactly closeRef, one call deeper.
+		if arg := callArg(call, cs.handleIdx); arg != nil {
+			fa.closeInsts(st, fa.heldInsts(st, arg), cs.pub, call)
 		}
-		parts, ok := instantiate(cs.tmpl, argParts)
-		if !ok {
-			continue
-		}
-		fa.innerClose(st, cs.kind, parts, freeOfParts(parts), cs.pub, call)
 	}
 	if sum.opens != nil {
 		i := fa.insts[call]
@@ -764,14 +691,13 @@ func (fa *flowAnalysis) applySummary(st *flowState, call *ast.CallExpr, pf *prog
 				return
 			}
 			i = &inst{
-				op:     opNone,
-				kind:   sum.opens.kind,
-				key:    renderParts(st, parts),
-				parts:  parts,
-				pos:    call.Pos(),
-				free:   fa.summaryFree(call, sum.opens.tmpl),
-				label:  pf.name(),
-				handle: sum.opens.handle,
+				op:    opNone,
+				kind:  sum.opens.kind,
+				key:   renderParts(parts),
+				parts: parts,
+				pos:   call.Pos(),
+				free:  fa.summaryFree(call, sum.opens.tmpl),
+				label: pf.name(),
 			}
 			fa.insts[call] = i
 		}
@@ -821,114 +747,79 @@ func callArg(call *ast.CallExpr, idx int) ast.Expr {
 	return nil
 }
 
-// freeOfParts collects the variable references of a part sequence.
-func freeOfParts(parts []keyPart) map[types.Object]bool {
-	free := make(map[types.Object]bool)
-	for _, p := range parts {
-		if p.obj != nil {
-			free[p.obj] = true
-		}
-	}
-	return free
-}
-
-func (fa *flowAnalysis) instFor(st *flowState, call *ast.CallExpr, op samOp) *inst {
+func (fa *flowAnalysis) instFor(call *ast.CallExpr, op samOp) *inst {
 	if i := fa.insts[call]; i != nil {
 		return i
 	}
 	ne := nameArg(op, call)
 	parts := fa.p.partsOf(ne)
 	i := &inst{
-		op:     op,
-		kind:   beginKind(op),
-		key:    renderParts(st, parts),
-		parts:  parts,
-		pos:    call.Pos(),
-		free:   fa.p.freeVars(ne),
-		handle: op.handleOp(),
+		op:    op,
+		kind:  beginKind(op),
+		key:   renderParts(parts),
+		parts: parts,
+		pos:   call.Pos(),
+		free:  fa.p.freeVars(ne),
 	}
 	fa.insts[call] = i
 	return i
 }
 
-// closeOp closes the matching open borrow(s) and records publication.
-// An End with no matching Begin in this function is not flagged: that is
-// the closing half of a wrapper (e.g. dset.EndGet) and becomes part of
-// the function's closer summary.
-func (fa *flowAnalysis) closeOp(st *flowState, op samOp, call *ast.CallExpr) {
-	kind, _ := endCloses(op)
-	ne := nameArg(op, call)
-	fa.innerClose(st, kind, fa.p.partsOf(ne), fa.p.freeVars(ne),
-		op == opEndCreate || op == opEndAccumToValue, call)
-}
-
-// innerClose closes open borrows of the given kind and canonical key; a
-// close with nothing to match is recorded as a net close (the closing
-// half of a wrapper). pub marks closes that publish the name.
-func (fa *flowAnalysis) innerClose(st *flowState, kind borrowKind, parts []keyPart, free map[types.Object]bool, pub bool, call *ast.CallExpr) {
-	key := renderParts(st, parts)
-	matched := false
-	for i := range st.open {
-		if i.kind == kind && i.key == key {
-			matched = true
-			delete(st.open, i)
-			delete(st.mopen, i)
-			if kind == kindCreate {
-				st.done[i] = true
-			}
-		}
-	}
-	if !matched {
-		ck := fmt.Sprintf("%d|%s", kind, key)
-		if st.mclosed[ck] == nil {
-			st.mclosed[ck] = &closeFact{kind: kind, key: key, parts: parts, pub: pub}
-		}
-	}
-	if pub {
-		fa.publishKey(st, key, free, call)
-	}
-}
-
-// closeRef closes the borrow(s) a handle closer's receiver holds:
-// ref.Release(), ref.Commit(), ref.CommitToValue(uses). The receiver —
-// a ref variable or the opener call itself — identifies the borrow, so
-// no name matching is involved.
-func (fa *flowAnalysis) closeRef(st *flowState, op samOp, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	insts := fa.heldInsts(st, sel.X)
+// closeInsts ends the given borrows: a closed create borrow is published
+// (its item immutable from here), and pub marks a close that publishes
+// the name, which is where a second publication is caught. One close
+// publishes a name once, however many openers (one per branch) may have
+// fed the handle.
+func (fa *flowAnalysis) closeInsts(st *flowState, insts []*inst, pub bool, call *ast.CallExpr) {
+	published := make(map[string]bool)
 	for _, i := range insts {
 		delete(st.open, i)
 		delete(st.mopen, i)
 		if i.kind == kindCreate {
 			st.done[i] = true
 		}
-		if op == opRefCommitToValue {
+		if pub && !published[i.key] {
+			published[i.key] = true
 			fa.publishKey(st, i.key, i.free, call)
 		}
 	}
+}
+
+// closeRef closes the borrow(s) a handle closer's receiver holds:
+// ref.Release(), ref.Commit(), ref.CommitToValue(uses), ref.Publish().
+// The receiver — a ref variable or the opener call itself — identifies
+// the borrow.
+func (fa *flowAnalysis) closeRef(st *flowState, op samOp, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	pub := op == opRefCommitToValue || op == opRefPublish
+	insts := fa.heldInsts(st, sel.X)
+	fa.closeInsts(st, insts, pub, call)
 	if len(insts) > 0 {
 		return
 	}
-	// A handle close with no local opener: the closing half of a handle
-	// wrapper. Record it against the receiver variable; borrowScan turns
-	// facts on parameters into the function's closer summary.
-	if id, ok := unwrap(sel.X).(*ast.Ident); ok {
-		if v, ok := fa.p.Pkg.Info.Uses[id].(*types.Var); ok && !v.IsField() {
-			ck := fmt.Sprintf("ref|%d", v.Pos())
-			if st.mclosed[ck] == nil {
-				st.mclosed[ck] = &closeFact{refObj: v, pub: op == opRefCommitToValue}
-			}
+	v, ok := fa.p.usedIdent(sel.X).(*types.Var)
+	if !ok || v.IsField() {
+		return
+	}
+	for i := range st.vars[v] {
+		if pub && st.done[i] { // Publish through a handle already published
+			fa.publishKey(st, i.key, i.free, call)
 		}
+	}
+	// A handle close with no local opener: the closing half of a handle
+	// wrapper, recorded against the receiver variable.
+	if _, seen := st.mclosed[v]; !seen {
+		st.mclosed[v] = pub
 	}
 }
 
 // publish records that the name ne is now a published value, flagging a
 // second publication of the same name on the same path.
 func (fa *flowAnalysis) publish(st *flowState, ne ast.Expr, call *ast.CallExpr) {
-	fa.publishKey(st, renderParts(st, fa.p.partsOf(ne)), fa.p.freeVars(ne), call)
+	fa.publishKey(st, renderParts(fa.p.partsOf(ne)), fa.p.freeVars(ne), call)
 }
 
 // publishKey is publish on a pre-canonicalized key (used by handle
@@ -989,7 +880,7 @@ func (fa *flowAnalysis) checkCapture(st *flowState, call *ast.CallExpr, what str
 	}
 }
 
-// atExit applies deferred End* calls, exempts borrows returned to the
+// atExit applies deferred closes, exempts borrows returned to the
 // caller (the wrapper pattern), and flags everything still open.
 func (fa *flowAnalysis) atExit(st *flowState, b *cfgBlock) {
 	for _, d := range fa.g.defers {
@@ -1030,24 +921,16 @@ func (fa *flowAnalysis) atExit(st *flowState, b *cfgBlock) {
 		if returned[i] {
 			continue
 		}
-		if i.handle {
-			end := closerName(i)
-			fa.report("pairdiscipline", i.pos,
-				fmt.Sprintf("the %s(%s) handle does not reach %s on the path to %s",
-					i.display(), i.key, end, where),
-				fmt.Sprintf("call the handle's %s before this path leaves the function", end))
-			continue
-		}
-		end := kindEnd[i.kind]
+		end := closerName(i)
 		fa.report("pairdiscipline", i.pos,
-			fmt.Sprintf("%s(%s) is not matched by %s(%s) on the path to %s",
-				i.display(), i.key, end, i.key, where),
-			fmt.Sprintf("close the borrow with %s(%s) before this path leaves the function", end, i.key))
+			fmt.Sprintf("the %s(%s) handle does not reach %s on the path to %s",
+				i.display(), i.key, end, where),
+			fmt.Sprintf("call the handle's %s before this path leaves the function", end))
 	}
 }
 
-// applyDeferred applies the End* effects of one defer statement: either
-// a directly deferred SAM call or End* calls inside a deferred literal.
+// applyDeferred applies the closes of one defer statement: either a
+// directly deferred handle closer or closers inside a deferred literal.
 func (fa *flowAnalysis) applyDeferred(st *flowState, d *ast.DeferStmt) {
 	fa.deferredCall(st, d.Call)
 	if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
@@ -1061,13 +944,8 @@ func (fa *flowAnalysis) applyDeferred(st *flowState, d *ast.DeferStmt) {
 }
 
 func (fa *flowAnalysis) deferredCall(st *flowState, call *ast.CallExpr) {
-	op := fa.p.samCall(call)
-	if _, ok := endCloses(op); ok {
-		fa.closeOp(st, op, call)
-		return
-	}
-	switch op {
-	case opRefRelease, opRefCommit, opRefCommitToValue:
+	switch op := fa.p.samCall(call); op {
+	case opRefRelease, opRefCommit, opRefCommitToValue, opRefPublish:
 		fa.closeRef(st, op, call)
 	}
 }

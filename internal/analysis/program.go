@@ -92,19 +92,15 @@ type Summary struct {
 
 // openSummary describes the borrow a wrapper opens and hands back.
 type openSummary struct {
-	kind   borrowKind
-	handle bool
-	tmpl   []tmplPart
+	kind borrowKind
+	tmpl []tmplPart
 }
 
 // closeSummary describes one net close a helper performs for its caller:
-// either by name template (the End* half of a name-matched wrapper), or —
-// when handleIdx >= 0 — by closing whatever borrow the handle argument at
-// that parameter index holds (the Release half of a handle wrapper).
+// it closes whatever borrow the handle argument at parameter index
+// handleIdx holds (the Release half of a handle wrapper).
 type closeSummary struct {
-	kind      borrowKind
 	pub       bool
-	tmpl      []tmplPart
 	handleIdx int
 }
 
@@ -416,10 +412,10 @@ func sumKey(s *Summary) string {
 		b.WriteString("B")
 	}
 	if s.opens != nil {
-		fmt.Fprintf(&b, "|o%d,%t,%s", s.opens.kind, s.opens.handle, tmplString(s.opens.tmpl))
+		fmt.Fprintf(&b, "|o%d,%s", s.opens.kind, tmplString(s.opens.tmpl))
 	}
 	for _, c := range s.closes {
-		fmt.Fprintf(&b, "|c%d,%t,%s,h%d", c.kind, c.pub, tmplString(c.tmpl), c.handleIdx)
+		fmt.Fprintf(&b, "|c%t,h%d", c.pub, c.handleIdx)
 	}
 	for _, idx := range sortedKeys(s.replies) {
 		fmt.Fprintf(&b, "|r%d:%d-%d", idx, s.replies[idx].min, s.replies[idx].max)
@@ -620,7 +616,7 @@ func (prog *Program) callBlocker(p *Pass, call *ast.CallExpr, add func(token.Pos
 // borrowScan runs the flow analysis with exit collection and extracts the
 // wrapper summaries: a borrow opened on every path, must-open at every
 // return, returned to the caller, and nameable from the parameters alone
-// becomes the opener; a net close performed on every path becomes a
+// becomes the opener; a handle parameter closed on every path becomes a
 // closer.
 func (prog *Program) borrowScan(pf *progFunc, sum *Summary) {
 	p := pf.pass
@@ -636,40 +632,22 @@ func (prog *Program) borrowScan(pf *progFunc, sum *Summary) {
 		return
 	}
 	paramIdx := declParams(p, pf.decl)
-	for ck, f := range fa.exits[0].mclosed {
+	for obj, pub := range fa.exits[0].mclosed {
 		inAll := true
 		for _, e := range fa.exits[1:] {
-			if e.mclosed[ck] == nil {
+			if _, ok := e.mclosed[obj]; !ok {
 				inAll = false
 				break
 			}
 		}
-		if !inAll {
-			continue
+		// A handle close on a parameter: the summary carries the
+		// parameter position.
+		if idx, ok := paramIdx[obj]; inAll && ok && idx >= 0 {
+			sum.closes = append(sum.closes, closeSummary{pub: pub, handleIdx: idx})
 		}
-		if f.refObj != nil {
-			// A handle close on a parameter: the summary carries the
-			// parameter position, not a name.
-			if idx, ok := paramIdx[f.refObj]; ok && idx >= 0 {
-				sum.closes = append(sum.closes, closeSummary{pub: f.pub, handleIdx: idx})
-			}
-			continue
-		}
-		tmpl, ok := templateOf(f.parts, paramIdx)
-		if !ok {
-			continue
-		}
-		sum.closes = append(sum.closes, closeSummary{kind: f.kind, pub: f.pub, tmpl: tmpl, handleIdx: -1})
 	}
 	sort.Slice(sum.closes, func(i, j int) bool {
-		a, b := sum.closes[i], sum.closes[j]
-		if a.handleIdx != b.handleIdx {
-			return a.handleIdx < b.handleIdx
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return tmplString(a.tmpl) < tmplString(b.tmpl)
+		return sum.closes[i].handleIdx < sum.closes[j].handleIdx
 	})
 	var open *inst
 	for _, e := range fa.exits {
@@ -693,7 +671,7 @@ func (prog *Program) borrowScan(pf *progFunc, sum *Summary) {
 		return
 	}
 	if tmpl, ok := templateOf(open.parts, paramIdx); ok {
-		sum.opens = &openSummary{kind: open.kind, handle: open.handle, tmpl: tmpl}
+		sum.opens = &openSummary{kind: open.kind, tmpl: tmpl}
 	}
 }
 

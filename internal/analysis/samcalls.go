@@ -18,20 +18,6 @@ type samOp int
 const (
 	opNone samOp = iota
 
-	// Borrow-opening operations. All but opBeginCreate may block.
-	opBeginCreate  // BeginCreateValue(name, item, uses)
-	opBeginRename  // BeginRenameValue(old, new, uses); borrows under new
-	opBeginUse     // BeginUseValue(name)
-	opBeginAccum   // BeginUpdateAccum(name)
-	opBeginChaotic // BeginReadChaotic(name)
-
-	// Borrow-closing operations.
-	opEndCreate       // EndCreateValue(name) / EndRenameValue(name); publishes
-	opEndUse          // EndUseValue(name)
-	opEndAccum        // EndUpdateAccum(name)
-	opEndAccumToValue // EndUpdateAccumToValue(name, uses); publishes
-	opEndChaotic      // EndReadChaotic(name)
-
 	// Whole-item operations.
 	opCreateValue    // CreateValue(name, item, uses): publish in one step
 	opCreateAccum    // CreateAccum(name, item)
@@ -57,10 +43,13 @@ const (
 	opNextExternal  // NextExternal()
 	opServeExternal // ServeExternal()
 
-	// Handle-based openers (methods on Ctx returning a ref).
+	// Borrow openers (methods on Ctx returning a handle). All but
+	// opCreateRef may block.
 	opUseRef     // UseValue(name) -> ValueRef
 	opUpdateRef  // UpdateAccum(name) -> AccumRef
 	opChaoticRef // ReadChaotic(name) -> ChaoticRef
+	opCreateRef  // BeginCreateValue(name, item, uses) -> CreateRef
+	opRenameRef  // BeginRenameValue(old, new, uses) -> CreateRef; borrows under new
 
 	// Typed package-level accessors (core.Use / sam.Use, ...). The Ctx
 	// is argument 0, so the name argument shifts right by one.
@@ -68,47 +57,39 @@ const (
 	opTypedUpdate        // Update[T](c, name) -> (T, AccumRef)
 	opTypedChaotic       // ReadChaotic[T](c, name) -> (T, ChaoticRef)
 	opTypedCreate        // Create[T](c, name, item, uses): publish in one step
-	opTypedCreateInPlace // CreateInPlace[T](c, name, item, uses) -> T
-	opTypedRename        // Rename[T](c, old, new, uses) -> T; borrows under new
+	opTypedCreateInPlace // CreateInPlace[T](c, name, item, uses) -> (T, CreateRef)
+	opTypedRename        // Rename[T](c, old, new, uses) -> (T, CreateRef); borrows under new
 
 	// Handle closers (methods on the ref types). The borrow they close
 	// is identified by the receiver, not by a name argument.
 	opRefRelease       // ValueRef/ChaoticRef.Release()
 	opRefCommit        // AccumRef.Commit()
 	opRefCommitToValue // AccumRef.CommitToValue(uses); publishes
+	opRefPublish       // CreateRef.Publish(); publishes
 )
 
 var samOpByName = map[string]samOp{
-	"BeginCreateValue":      opBeginCreate,
-	"BeginRenameValue":      opBeginRename,
-	"BeginUseValue":         opBeginUse,
-	"BeginUpdateAccum":      opBeginAccum,
-	"BeginReadChaotic":      opBeginChaotic,
-	"EndCreateValue":        opEndCreate,
-	"EndRenameValue":        opEndCreate,
-	"EndUseValue":           opEndUse,
-	"EndUpdateAccum":        opEndAccum,
-	"EndUpdateAccumToValue": opEndAccumToValue,
-	"EndReadChaotic":        opEndChaotic,
-	"CreateValue":           opCreateValue,
-	"CreateAccum":           opCreateAccum,
-	"DestroyValue":          opDestroyValue,
-	"ConvertValueToAccum":   opConvertToAccum,
-	"DoneValue":             opDoneValue,
-	"PushValue":             opPushValue,
-	"Barrier":               opBarrier,
-	"NextTask":              opNextTask,
-	"FetchValueAsync":       opFetchValueAsync,
-	"AcquireAccumAsync":     opAcquireAsync,
-	"FetchChaoticAsync":     opChaoticAsync,
-	"RenameValueAsync":      opRenameAsync,
-	"SpawnTask":             opSpawnTask,
-	"SpawnTaskWhenValues":   opSpawnWhenValues,
-	"NextExternal":          opNextExternal,
-	"ServeExternal":         opServeExternal,
-	"UseValue":              opUseRef,
-	"UpdateAccum":           opUpdateRef,
-	"ReadChaotic":           opChaoticRef,
+	"BeginCreateValue":    opCreateRef,
+	"BeginRenameValue":    opRenameRef,
+	"CreateValue":         opCreateValue,
+	"CreateAccum":         opCreateAccum,
+	"DestroyValue":        opDestroyValue,
+	"ConvertValueToAccum": opConvertToAccum,
+	"DoneValue":           opDoneValue,
+	"PushValue":           opPushValue,
+	"Barrier":             opBarrier,
+	"NextTask":            opNextTask,
+	"FetchValueAsync":     opFetchValueAsync,
+	"AcquireAccumAsync":   opAcquireAsync,
+	"FetchChaoticAsync":   opChaoticAsync,
+	"RenameValueAsync":    opRenameAsync,
+	"SpawnTask":           opSpawnTask,
+	"SpawnTaskWhenValues": opSpawnWhenValues,
+	"NextExternal":        opNextExternal,
+	"ServeExternal":       opServeExternal,
+	"UseValue":            opUseRef,
+	"UpdateAccum":         opUpdateRef,
+	"ReadChaotic":         opChaoticRef,
 }
 
 // samPkgPath is the public facade re-exporting the typed accessors.
@@ -130,24 +111,15 @@ var refCloserByName = map[string]samOp{
 	"Release":       opRefRelease,
 	"Commit":        opRefCommit,
 	"CommitToValue": opRefCommitToValue,
+	"Publish":       opRefPublish,
 }
 
 // opName gives the API name back for diagnostics.
 var opName = map[samOp]string{
-	opBeginCreate:     "BeginCreateValue",
-	opBeginRename:     "BeginRenameValue",
-	opBeginUse:        "BeginUseValue",
-	opBeginAccum:      "BeginUpdateAccum",
-	opBeginChaotic:    "BeginReadChaotic",
-	opEndCreate:       "EndCreateValue",
-	opEndUse:          "EndUseValue",
-	opEndAccum:        "EndUpdateAccum",
-	opEndAccumToValue: "EndUpdateAccumToValue",
-	opEndChaotic:      "EndReadChaotic",
-	opBarrier:         "Barrier",
-	opNextTask:        "NextTask",
-	opNextExternal:    "NextExternal",
-	opServeExternal:   "ServeExternal",
+	opBarrier:       "Barrier",
+	opNextTask:      "NextTask",
+	opNextExternal:  "NextExternal",
+	opServeExternal: "ServeExternal",
 
 	opFetchValueAsync: "FetchValueAsync",
 	opAcquireAsync:    "AcquireAccumAsync",
@@ -157,6 +129,8 @@ var opName = map[samOp]string{
 	opUseRef:             "UseValue",
 	opUpdateRef:          "UpdateAccum",
 	opChaoticRef:         "ReadChaotic",
+	opCreateRef:          "BeginCreateValue",
+	opRenameRef:          "BeginRenameValue",
 	opTypedUse:           "Use",
 	opTypedUpdate:        "Update",
 	opTypedChaotic:       "ReadChaotic",
@@ -165,6 +139,7 @@ var opName = map[samOp]string{
 	opRefRelease:         "Release",
 	opRefCommit:          "Commit",
 	opRefCommitToValue:   "CommitToValue",
+	opRefPublish:         "Publish",
 }
 
 // blocking reports whether the operation can suspend the calling
@@ -172,9 +147,9 @@ var opName = map[samOp]string{
 // accumulator (paper section 3.2).
 func (op samOp) blocking() bool {
 	switch op {
-	case opBeginUse, opBeginAccum, opBeginRename, opBarrier, opNextTask,
-		opUseRef, opUpdateRef, opTypedUse, opTypedUpdate, opTypedRename,
-		opNextExternal, opServeExternal:
+	case opBarrier, opNextTask, opNextExternal, opServeExternal,
+		opUseRef, opUpdateRef, opRenameRef,
+		opTypedUse, opTypedUpdate, opTypedRename:
 		return true
 	}
 	return false
@@ -190,7 +165,7 @@ func (op samOp) blocksHandler() bool {
 		return true
 	}
 	switch op {
-	case opBeginChaotic, opChaoticRef, opTypedChaotic:
+	case opChaoticRef, opTypedChaotic:
 		return true
 	}
 	return false
@@ -206,17 +181,6 @@ func asyncCallbackArg(op samOp) int {
 		return 3
 	}
 	return -1
-}
-
-// handleOp reports whether op opens a borrow that is closed through its
-// returned handle (Release/Commit) rather than a name-matched End call.
-func (op samOp) handleOp() bool {
-	switch op {
-	case opUseRef, opUpdateRef, opChaoticRef,
-		opTypedUse, opTypedUpdate, opTypedChaotic:
-		return true
-	}
-	return false
 }
 
 // isCtxType reports whether t is core.Ctx or *core.Ctx.
@@ -254,7 +218,7 @@ func isRefType(t types.Type) bool {
 		return false
 	}
 	switch obj.Name() {
-	case "ValueRef", "AccumRef", "ChaoticRef":
+	case "ValueRef", "AccumRef", "ChaoticRef", "CreateRef":
 		return true
 	}
 	return false
@@ -306,19 +270,19 @@ func (p *Pass) samCall(call *ast.CallExpr) samOp {
 }
 
 // nameArg returns the Name argument that identifies the shared item the
-// operation acts on (for BeginRenameValue, the new name it borrows
-// under), or nil when the operation has none.
+// operation acts on (for a rename, the new name it borrows under), or
+// nil when the operation has none.
 func nameArg(op samOp, call *ast.CallExpr) ast.Expr {
 	var idx int
 	switch op {
-	case opBeginRename:
+	case opRenameRef:
 		idx = 1
 	case opTypedUse, opTypedUpdate, opTypedChaotic, opTypedCreate, opTypedCreateInPlace:
 		idx = 1 // argument 0 is the Ctx
 	case opTypedRename:
 		idx = 2 // (c, old, new, uses); borrows under new
 	case opBarrier, opNextTask, opSpawnTask, opSpawnWhenValues,
-		opRefRelease, opRefCommit, opRefCommitToValue:
+		opRefRelease, opRefCommit, opRefCommitToValue, opRefPublish:
 		return nil
 	default:
 		idx = 0
@@ -327,17 +291,6 @@ func nameArg(op samOp, call *ast.CallExpr) ast.Expr {
 		return nil
 	}
 	return call.Args[idx]
-}
-
-// keyOf canonicalizes a name expression to a comparison key. Matching is
-// textual: Begin/End pairs must name the item with the same expression,
-// which is both how the paper's programs are written and what makes the
-// pairing check decidable.
-func keyOf(e ast.Expr) string {
-	if e == nil {
-		return ""
-	}
-	return types.ExprString(e)
 }
 
 // freeVars collects the local variables (including parameters and
@@ -365,8 +318,8 @@ func (p *Pass) freeVars(e ast.Expr) map[types.Object]bool {
 	return vars
 }
 
-// unwrap strips parentheses and type assertions: the form borrow results
-// are almost always consumed through (`x := c.BeginUseValue(n).(T)`).
+// unwrap strips parentheses and type assertions: the form borrowed items
+// are almost always consumed through (`x := ref.Item().(T)`).
 func unwrap(e ast.Expr) ast.Expr {
 	for {
 		switch x := e.(type) {

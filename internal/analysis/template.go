@@ -8,15 +8,14 @@ import (
 )
 
 // template.go canonicalizes name expressions into sequences of keyParts:
-// literal text interleaved with references to local variables. Rendering
-// a part sequence against a flowState resolves plain-variable aliases
-// (`n := cn` makes n render as "cn"), which is what lets Begin/End
-// matching survive local renaming. The same representation doubles as
-// the borrow-name template of an interprocedural summary: parts whose
-// variables are all parameters of the summarized function can be
-// re-instantiated with the argument expressions of any call site, so an
-// obligation opened as `c.BeginUseValue(n)` inside a helper surfaces at
-// the caller under the caller's own spelling of the name.
+// literal text interleaved with references to local variables. The
+// rendered sequence is the key publications of a name are compared by.
+// The same representation doubles as the borrow-name template of an
+// interprocedural summary: parts whose variables are all parameters of
+// the summarized function can be re-instantiated with the argument
+// expressions of any call site, so a borrow opened as `c.UseValue(n)`
+// inside a helper surfaces at the caller under the caller's own spelling
+// of the name.
 
 // keyPart is one piece of a canonicalized name expression.
 type keyPart struct {
@@ -84,23 +83,15 @@ func (p *Pass) appendParts(parts *[]keyPart, e ast.Expr) {
 	}
 }
 
-// renderParts produces the comparison key of a part sequence at a
-// program point: variable references resolve through the state's alias
-// map so a plain copy of a name variable compares equal to its source.
-func renderParts(st *flowState, parts []keyPart) string {
+// renderParts produces the comparison key of a part sequence.
+func renderParts(parts []keyPart) string {
 	var b strings.Builder
 	for _, p := range parts {
 		if p.obj == nil {
 			b.WriteString(p.lit)
-			continue
+		} else {
+			b.WriteString(p.obj.Name())
 		}
-		if st != nil {
-			if a, ok := st.alias[p.obj]; ok {
-				b.WriteString(a)
-				continue
-			}
-		}
-		b.WriteString(p.obj.Name())
 	}
 	return b.String()
 }

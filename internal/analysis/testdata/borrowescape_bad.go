@@ -14,26 +14,27 @@ type store struct{ last *vec }
 var lastSeen *vec
 
 func escapes(c *core.Ctx, i int, st *store, ch chan *vec) {
-	v := c.BeginUseValue(core.N1(tag, i)).(*vec)
+	ref := c.UseValue(core.N1(tag, i))
+	v := ref.Item().(*vec)
 	st.last = v  // want borrowescape "struct field"
 	lastSeen = v // want borrowescape "package-level variable"
 	ch <- v      // want borrowescape "sent on a channel"
-	c.EndUseValue(core.N1(tag, i))
+	ref.Release()
 }
 
 func capturedByGoroutine(c *core.Ctx, i int, done chan struct{}) {
-	v := c.BeginUseValue(core.N1(tag, i)).(*vec)
+	v, ref := core.Use[*vec](c, core.N1(tag, i))
 	go func() {
 		_ = v.x // want borrowescape "captured by a closure"
 		close(done)
 	}()
-	c.EndUseValue(core.N1(tag, i))
+	ref.Release()
 }
 
 func passedToGoroutine(c *core.Ctx, i int) {
-	v := c.BeginUseValue(core.N1(tag, i)).(*vec)
+	v, ref := core.Use[*vec](c, core.N1(tag, i))
 	go consume(v) // want borrowescape "passed to a spawned goroutine"
-	c.EndUseValue(core.N1(tag, i))
+	ref.Release()
 }
 
 func consume(v *vec) { _ = v.x }

@@ -14,20 +14,20 @@ type store struct{ last *vec }
 // copiesOut extracts the data before the borrow ends; only copies leave
 // the function. Not a violation.
 func copiesOut(c *core.Ctx, i int, st *store, ch chan float64) {
-	v := c.BeginUseValue(core.N1(tag, i)).(*vec)
-	x := v.x
-	c.EndUseValue(core.N1(tag, i))
+	ref := c.UseValue(core.N1(tag, i))
+	x := ref.Item().(*vec).x
+	ref.Release()
 	ch <- x
 	st.last = &vec{x: x}
 	go func() { _ = x }()
 }
 
 // passesDownstack hands the item down the call stack within the borrow
-// window, which is fine: the callee finishes before End*.
+// window, which is fine: the callee finishes before Release.
 func passesDownstack(c *core.Ctx, i int) float64 {
-	v := c.BeginUseValue(core.N1(tag, i)).(*vec)
+	v, ref := core.Use[*vec](c, core.N1(tag, i))
 	s := read(v)
-	c.EndUseValue(core.N1(tag, i))
+	ref.Release()
 	return s
 }
 

@@ -24,12 +24,12 @@ func buggyStep(c *core.Ctx, rare bool) {
 	if c.Node() == 1 {
 		c.CreateValue(name, pack.Ints{2}, core.UsesUnlimited) // want singleassign "published twice"
 	}
-	v := c.BeginUseValue(name).(pack.Ints) // want pairdiscipline "not matched by EndUseValue"
+	v, ref := core.Use[pack.Ints](c, name) // want pairdiscipline "does not reach Release"
 	if rare {
 		return // never executed: invisible to the dynamic checker
 	}
 	_ = v[0]
-	c.EndUseValue(name)
+	ref.Release()
 }
 
 // buggyAsyncStep is the handler-context half of the cross-check: the

@@ -10,21 +10,21 @@ const tag = 4
 type vec struct{ x float64 }
 
 func blocksWhileHolding(c *core.Ctx, i int) {
-	a := c.BeginUpdateAccum(core.N1(tag, i)).(*vec)
+	a, ref := core.Update[*vec](c, core.N1(tag, i))
 	a.x++
-	c.Barrier()                                    // want holdblock "Barrier may block"
-	v := c.BeginUseValue(core.N1(tag, i+1)).(*vec) // want holdblock "BeginUseValue may block"
-	a.x += v.x
-	c.EndUseValue(core.N1(tag, i+1))
-	c.EndUpdateAccum(core.N1(tag, i))
+	c.Barrier()                          // want holdblock "Barrier may block"
+	use := c.UseValue(core.N1(tag, i+1)) // want holdblock "UseValue may block"
+	a.x += use.Item().(*vec).x
+	use.Release()
+	ref.Commit()
 }
 
 func nestedAccums(c *core.Ctx, i, j int) {
-	a := c.BeginUpdateAccum(core.N1(tag, i)).(*vec)
-	b := c.BeginUpdateAccum(core.N1(tag, j)).(*vec) // want holdblock "BeginUpdateAccum may block"
-	b.x += a.x
-	c.EndUpdateAccum(core.N1(tag, j))
-	c.EndUpdateAccum(core.N1(tag, i))
+	a, ra := core.Update[*vec](c, core.N1(tag, i))
+	rb := c.UpdateAccum(core.N1(tag, j)) // want holdblock "UpdateAccum may block"
+	rb.Item().(*vec).x += a.x
+	rb.Commit()
+	ra.Commit()
 }
 
 func (v *vec) SizeBytes() int   { return 16 }

@@ -9,18 +9,18 @@ const tag = 4
 
 type vec struct{ x float64 }
 
-// finishesBeforeBlocking releases the accumulator before any operation
+// finishesBeforeBlocking commits the accumulator before any operation
 // that can suspend the process. Not a violation.
 func finishesBeforeBlocking(c *core.Ctx, i int) {
-	a := c.BeginUpdateAccum(core.N1(tag, i)).(*vec)
+	a, ref := core.Update[*vec](c, core.N1(tag, i))
 	a.x++
-	c.EndUpdateAccum(core.N1(tag, i))
+	ref.Commit()
 	c.Barrier()
-	v := c.BeginUseValue(core.N1(tag, i+1)).(*vec)
-	a2 := c.BeginUpdateAccum(core.N1(tag, i)).(*vec)
+	v, use := core.Use[*vec](c, core.N1(tag, i+1))
+	a2, ref2 := core.Update[*vec](c, core.N1(tag, i))
 	a2.x += v.x
-	c.EndUpdateAccum(core.N1(tag, i))
-	c.EndUseValue(core.N1(tag, i+1))
+	ref2.Commit()
+	use.Release()
 }
 
 func (v *vec) SizeBytes() int   { return 16 }

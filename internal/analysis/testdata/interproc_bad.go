@@ -35,13 +35,16 @@ func leaksOnEarlyReturn(c *core.Ctx, i int, skip bool) float64 {
 	return s
 }
 
-// A name held in a local still matches: the alias, not the text of the
-// expression, decides the pairing — closing a different alias is the
-// mismatch.
-func aliasMismatch(c *core.Ctx, i int) {
-	a := core.N1(iptag, i)
-	b := core.N1(iptag, i+1)
-	v := c.BeginUseValue(a).(pack.Float64s) // want pairdiscipline "not matched by EndUseValue"
+func ipPut(ref core.ValueRef) {
+	ref.Release()
+}
+
+// Closing through a helper closes the handle that was passed, not the
+// one that was meant.
+func closesOtherThroughHelper(c *core.Ctx, i int) {
+	v, ref := ipGet(c, i) // want pairdiscipline "does not reach"
+	_, other := ipGet(c, i+1)
 	_ = v[0]
-	c.EndUseValue(b)
+	_ = ref
+	ipPut(other)
 }

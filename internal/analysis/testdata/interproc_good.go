@@ -8,7 +8,7 @@ import (
 const ipgtag = 9
 
 // Interprocedural borrows done right: open through two helpers, close
-// through a helper, alias the name through locals — all clean.
+// through a helper, copy the handle through locals — all clean.
 
 func ipgGet(c *core.Ctx, i int) (pack.Float64s, core.ValueRef) {
 	return core.Use[pack.Float64s](c, core.N1(ipgtag, i))
@@ -36,11 +36,11 @@ func closesThroughHelper(c *core.Ctx, i int) float64 {
 	return s
 }
 
-// The same local name alias on both halves of the pair.
-func aliasedNames(c *core.Ctx, i int) float64 {
-	nm := core.N1(ipgtag, i)
-	v := c.BeginUseValue(nm).(pack.Float64s)
+// A copy of the handle closes the borrow its source opened.
+func closesThroughCopy(c *core.Ctx, i int) float64 {
+	v, ref := ipgGet(c, i)
 	s := v[0]
-	c.EndUseValue(nm)
+	r2 := ref
+	r2.Release()
 	return s
 }

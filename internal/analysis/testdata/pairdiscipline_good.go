@@ -9,46 +9,58 @@ const tag = 1
 
 type vec struct{ x, y float64 }
 
-func allPathsEnd(c *core.Ctx, i int, skip bool) float64 {
-	v := c.BeginUseValue(core.N1(tag, i)).(*vec)
+func allPathsRelease(c *core.Ctx, i int, skip bool) float64 {
+	ref := c.UseValue(core.N1(tag, i))
+	v := ref.Item().(*vec)
 	if skip {
-		c.EndUseValue(core.N1(tag, i))
+		ref.Release()
 		return 0
 	}
 	s := v.x
-	c.EndUseValue(core.N1(tag, i))
+	ref.Release()
 	return s
 }
 
-func deferredEnd(c *core.Ctx, i int) float64 {
-	v := c.BeginUseValue(core.N1(tag, i)).(*vec)
-	defer c.EndUseValue(core.N1(tag, i))
+func deferredRelease(c *core.Ctx, i int) float64 {
+	ref := c.UseValue(core.N1(tag, i))
+	defer ref.Release()
+	v := ref.Item().(*vec)
 	if v.x < 0 {
 		return -v.x
 	}
 	return v.x
 }
 
-// beginGet hands the open borrow to its caller: the wrapper pattern
-// (compare dset.BeginGet). Not a violation.
-func beginGet(c *core.Ctx, i int) *vec {
-	return c.BeginUseValue(core.N1(tag, i)).(*vec)
+// get hands the open borrow to its caller: the wrapper pattern (compare
+// dset.Get). Not a violation.
+func get(c *core.Ctx, i int) core.ValueRef {
+	return c.UseValue(core.N1(tag, i))
 }
 
-// endGet is the closing half of the wrapper: an End with no local Begin
-// is never flagged.
-func endGet(c *core.Ctx, i int) {
-	c.EndUseValue(core.N1(tag, i))
+// put is the closing half of the wrapper: a close of a handle with no
+// local opener is never flagged.
+func put(ref core.ValueRef) {
+	ref.Release()
 }
 
 func pairPerIteration(c *core.Ctx, n int) float64 {
 	var s float64
 	for i := 0; i < n; i++ {
-		v := c.BeginUseValue(core.N1(tag, i)).(*vec)
-		s += v.x
-		c.EndUseValue(core.N1(tag, i))
+		ref := c.UseValue(core.N1(tag, i))
+		s += ref.Item().(*vec).x
+		ref.Release()
 	}
 	return s
+}
+
+func createPublishedOnEveryPath(c *core.Ctx, i int, zero bool) {
+	v, ref := core.CreateInPlace(c, core.N1(tag, i), &vec{}, core.UsesUnlimited)
+	if zero {
+		ref.Publish()
+		return
+	}
+	v.x = 1
+	ref.Publish()
 }
 
 func (v *vec) SizeBytes() int   { return 16 }

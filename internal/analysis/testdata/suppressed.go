@@ -12,11 +12,11 @@ type vec struct{ x float64 }
 // justifiedHold demonstrates the suppression directive: the finding is
 // still produced, marked suppressed, with the reason attached.
 func justifiedHold(c *core.Ctx, i int) {
-	a := c.BeginUpdateAccum(core.N1(tag, i)).(*vec)
+	a, ref := core.Update[*vec](c, core.N1(tag, i))
 	//samlint:ignore holdblock barrier ordering is acyclic in this test fixture
 	c.Barrier() // want-suppressed holdblock "Barrier may block"
 	a.x++
-	c.EndUpdateAccum(core.N1(tag, i))
+	ref.Commit()
 }
 
 func (v *vec) SizeBytes() int   { return 16 }

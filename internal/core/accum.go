@@ -28,17 +28,6 @@ func (c *Ctx) CreateAccum(name Name, item Item) {
 		msgAccCreated{name: name, owner: rt.node})
 }
 
-// BeginUpdateAccum obtains mutually exclusive access to the accumulator,
-// migrating it to this processor if necessary, and returns its data for
-// in-place update. Updates must be commutative: their final effect must
-// not depend on the order processors obtain access.
-//
-// Deprecated: use UpdateAccum (or the typed Update), whose handle
-// cannot commit the wrong accumulator.
-func (c *Ctx) BeginUpdateAccum(name Name) Item {
-	return c.updateAccum(name).item
-}
-
 // updateAccum acquires exclusive access and returns the holder entry for
 // handle-based commit.
 func (c *Ctx) updateAccum(name Name) *entry {
@@ -49,10 +38,10 @@ func (c *Ctx) updateAccum(name Name) *entry {
 	rt.chargeAddr(c.fc)
 	if e := rt.cache.lookup(name); e != nil && e.owner {
 		if e.kind != kindAccum {
-			rt.protoErr("BeginUpdateAccum(%v): name is a value", name)
+			rt.protoErr("UpdateAccum(%v): name is a value", name)
 		}
 		if e.busy {
-			rt.protoErr("BeginUpdateAccum(%v): reentrant update", name)
+			rt.protoErr("UpdateAccum(%v): reentrant update", name)
 		}
 		e.reserved = false
 		e.busy = true
@@ -64,7 +53,7 @@ func (c *Ctx) updateAccum(name Name) *entry {
 	cnt.RemoteAccesses++
 	cnt.AccumMigrations++
 	if rt.acqWait[name] != nil {
-		rt.protoErr("BeginUpdateAccum(%v): acquisition already pending", name)
+		rt.protoErr("UpdateAccum(%v): acquisition already pending", name)
 	}
 	rt.ev(trace.EvAccRequest, name, name.home(rt.n), 0, 0)
 	ev := c.fc.NewEvent()
@@ -73,7 +62,7 @@ func (c *Ctx) updateAccum(name Name) *entry {
 	c.rt.wait(c.fc, ev, stats.Stall)
 	e := rt.cache.lookup(name)
 	if e == nil || !e.owner || e.kind != kindAccum {
-		rt.protoErr("BeginUpdateAccum(%v): woke without holdership", name)
+		rt.protoErr("UpdateAccum(%v): woke without holdership", name)
 	}
 	e.reserved = false
 	e.busy = true
@@ -81,21 +70,7 @@ func (c *Ctx) updateAccum(name Name) *entry {
 	return e
 }
 
-// EndUpdateAccum commits the update and, if a successor is queued, hands
-// the accumulator directly to it.
-//
-// Deprecated: commit the AccumRef returned by UpdateAccum instead.
-func (c *Ctx) EndUpdateAccum(name Name) {
-	rt := c.rt
-	e := rt.cache.lookup(name)
-	if e == nil || !e.busy || !e.owner {
-		rt.protoErr("EndUpdateAccum(%v): not being updated here", name)
-	}
-	c.commitAccum(e)
-}
-
-// commitAccum is the commit path shared by EndUpdateAccum and
-// AccumRef.Commit.
+// commitAccum is AccumRef.Commit on a checked entry.
 func (c *Ctx) commitAccum(e *entry) {
 	rt := c.rt
 	name := e.name
@@ -112,17 +87,6 @@ func (c *Ctx) commitAccum(e *entry) {
 	} else {
 		rt.cache.reindex(e)
 	}
-}
-
-// BeginReadChaotic returns a "recent" version of the accumulator: the
-// local copy if any version is cached (possibly stale — that is the
-// point), otherwise a snapshot fetched from a recent holder. The returned
-// data must be treated as read-only and is pinned until EndReadChaotic.
-//
-// Deprecated: use ReadChaotic (method or typed function), whose handle
-// cannot release the wrong snapshot.
-func (c *Ctx) BeginReadChaotic(name Name) Item {
-	return c.readChaotic(name).item
 }
 
 // readChaotic pins a recent snapshot and returns its entry for
@@ -158,42 +122,12 @@ func (c *Ctx) readChaotic(name Name) *entry {
 	}
 }
 
-// EndReadChaotic releases the pin taken by BeginReadChaotic.
-//
-// Deprecated: release the ChaoticRef returned by ReadChaotic instead.
-func (c *Ctx) EndReadChaotic(name Name) {
-	rt := c.rt
-	e := rt.cache.lookup(name)
-	if e == nil || e.pins <= 0 {
-		rt.protoErr("EndReadChaotic(%v): not being read here", name)
-	}
-	rt.unpin(e)
-}
-
-// EndUpdateAccumToValue commits the final update and converts the
-// accumulator into a value in place: the data becomes immutable, queued
-// value fetches for the name are satisfied, and stale snapshots elsewhere
-// are reclaimed. uses declares the value's access count as in
-// BeginCreateValue. This is how a datum moves between mutation and
-// read-only phases without copying (Section 3.1).
-//
-// Deprecated: use the AccumRef's CommitToValue instead.
-func (c *Ctx) EndUpdateAccumToValue(name Name, uses int64) {
-	rt := c.rt
-	e := rt.cache.lookup(name)
-	if e == nil || !e.busy || !e.owner {
-		rt.protoErr("EndUpdateAccumToValue(%v): not being updated here", name)
-	}
-	c.commitAccumToValue(e, uses)
-}
-
-// commitAccumToValue is shared by EndUpdateAccumToValue and
-// AccumRef.CommitToValue.
+// commitAccumToValue is AccumRef.CommitToValue on a checked entry.
 func (c *Ctx) commitAccumToValue(e *entry, uses int64) {
 	rt := c.rt
 	name := e.name
 	if e.hasNext {
-		rt.protoErr("EndUpdateAccumToValue(%v): another processor still waits to update", name)
+		rt.protoErr("CommitToValue(%v): another processor still waits to update", name)
 	}
 	e.busy = false
 	e.kind = kindValue
@@ -393,12 +327,13 @@ func (rt *nodeRT) handleAccData(fc fabric.Ctx, m msgAccData) {
 			return
 		}
 		// Asynchronous acquirer: grant exclusivity here, in handler
-		// context, exactly as updateAccum would on wake. The callback owns
-		// the borrow and must end it with EndUpdateAccum.
+		// context, exactly as updateAccum would on wake. The callback's
+		// handle owns the borrow.
 		e.reserved = false
 		e.busy = true
 		rt.ev(trace.EvAccAcquire, m.name, -1, int64(e.size), 0)
-		w.cb(e.item)
+		w.ref.e = e
+		w.cb(AccumRef(w.ref))
 		return
 	}
 	if e.hasNext {

@@ -23,15 +23,15 @@ func TestAccumMutualExclusionSum(t *testing.T) {
 		}
 		c.Barrier()
 		for i := 0; i < updates; i++ {
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			a[0]++
-			c.EndUpdateAccum(name)
+			ref.Commit()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			final = a[0]
-			c.EndUpdateAccum(name)
+			ref.Commit()
 		}
 	})
 	if final != n*updates {
@@ -49,9 +49,9 @@ func TestAccumMigratesToRequester(t *testing.T) {
 		c.Barrier()
 		if c.Node() == 1 {
 			for i := 0; i < 4; i++ {
-				a := c.BeginUpdateAccum(name).(pack.Ints)
+				a, ref := Update[pack.Ints](c, name)
 				a[0]++
-				c.EndUpdateAccum(name)
+				ref.Commit()
 			}
 		}
 	})
@@ -74,17 +74,17 @@ func TestAccumPingPong(t *testing.T) {
 		}
 		c.Barrier()
 		for round := 0; round < 10; round++ {
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			a[0]++
-			c.EndUpdateAccum(name)
+			ref.Commit()
 			c.Barrier()
 		}
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			if a[0] != 20 {
 				t.Errorf("sum = %d, want 20", a[0])
 			}
-			c.EndUpdateAccum(name)
+			ref.Commit()
 		}
 	})
 	if fab.Counters(0).AccumMigrations+fab.Counters(1).AccumMigrations < 10 {
@@ -103,26 +103,26 @@ func TestChaoticReadServedLocally(t *testing.T) {
 		c.Barrier()
 		if c.Node() == 1 {
 			// Acquire once so a local version exists.
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			a[0] = 2
-			c.EndUpdateAccum(name)
+			ref.Commit()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
 			// Take it back, so node 1's copy is stale.
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			a[0] = 3
-			c.EndUpdateAccum(name)
+			ref.Commit()
 		}
 		c.Barrier()
 		if c.Node() == 1 {
 			base := c.Counters().RemoteAccesses
 			for i := 0; i < 5; i++ {
-				v := c.BeginReadChaotic(name).(pack.Ints)
+				v, ref := ReadChaotic[pack.Ints](c, name)
 				if v[0] != 2 {
 					t.Errorf("chaotic read = %d, want stale 2", v[0])
 				}
-				c.EndReadChaotic(name)
+				ref.Release()
 			}
 			if c.Counters().RemoteAccesses != base {
 				t.Error("chaotic reads should be free on a stale local copy")
@@ -143,9 +143,9 @@ func TestChaoticReadFetchesWhenNoLocalCopy(t *testing.T) {
 		}
 		c.Barrier()
 		if c.Node() == 2 {
-			v := c.BeginReadChaotic(name).(pack.Ints)
+			v, ref := ReadChaotic[pack.Ints](c, name)
 			got = v[0]
-			c.EndReadChaotic(name)
+			ref.Release()
 		}
 	})
 	if got != 17 {
@@ -164,22 +164,22 @@ func TestInvalidateModeSeesFreshValues(t *testing.T) {
 		}
 		c.Barrier()
 		if c.Node() == 1 {
-			v := c.BeginReadChaotic(name).(pack.Ints) // snapshot version 0
+			v, ref := ReadChaotic[pack.Ints](c, name) // snapshot version 0
 			_ = v[0]
-			c.EndReadChaotic(name)
+			ref.Release()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			a[0] = 42
-			c.EndUpdateAccum(name) // invalidates node 1's snapshot
+			ref.Commit() // invalidates node 1's snapshot
 		}
 		c.Barrier()
 		c.Barrier()
 		if c.Node() == 1 {
-			v := c.BeginReadChaotic(name).(pack.Ints)
+			v, ref := ReadChaotic[pack.Ints](c, name)
 			got = v[0]
-			c.EndReadChaotic(name)
+			ref.Release()
 		}
 	})
 	if got != 42 {
@@ -206,18 +206,18 @@ func TestAccumToValueConversion(t *testing.T) {
 			c.CreateAccum(name, ints(0))
 			c.Barrier()
 			c.Barrier() // others have already issued their value requests
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			a[0] = 123
-			c.EndUpdateAccumToValue(name, UsesUnlimited)
-			v := c.BeginUseValue(name).(pack.Ints)
+			ref.CommitToValue(UsesUnlimited)
+			v, vref := Use[pack.Ints](c, name)
 			got[0] = v[0]
-			c.EndUseValue(name)
+			vref.Release()
 		default:
 			c.Barrier()
 			c.Barrier()
-			v := c.BeginUseValue(name).(pack.Ints) // waits for conversion
+			v, ref := Use[pack.Ints](c, name) // waits for conversion
 			got[c.Node()] = v[0]
-			c.EndUseValue(name)
+			ref.Release()
 		}
 	})
 	for i, g := range got {
@@ -236,11 +236,11 @@ func TestValueToAccumConversion(t *testing.T) {
 		}
 		c.Barrier()
 		if c.Node() == 1 {
-			v := c.BeginUseValue(name).(pack.Ints)
+			v, ref := Use[pack.Ints](c, name)
 			if v[0] != 10 {
 				t.Errorf("value = %d, want 10", v[0])
 			}
-			c.EndUseValue(name)
+			ref.Release()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
@@ -249,14 +249,14 @@ func TestValueToAccumConversion(t *testing.T) {
 		c.Barrier()
 		c.Barrier()
 		// Both nodes add to the now-mutable datum.
-		a := c.BeginUpdateAccum(name).(pack.Ints)
+		a, ref := Update[pack.Ints](c, name)
 		a[0] += 5
-		c.EndUpdateAccum(name)
+		ref.Commit()
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			final = a[0]
-			c.EndUpdateAccum(name)
+			ref.Commit()
 		}
 	})
 	if final != 20 {
@@ -275,22 +275,22 @@ func TestStaleValueCopyReplacedAfterConversion(t *testing.T) {
 			c.CreateAccum(name, ints(1))
 			c.Barrier()
 			c.Barrier() // node 1 snapshots version with a[0]=1
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			a[0] = 77
-			c.EndUpdateAccumToValue(name, UsesUnlimited)
+			ref.CommitToValue(UsesUnlimited)
 			c.Barrier()
 		case 1:
 			c.Barrier()
-			v := c.BeginReadChaotic(name).(pack.Ints)
+			v, ref := ReadChaotic[pack.Ints](c, name)
 			if v[0] != 1 {
 				t.Errorf("snapshot = %d, want 1", v[0])
 			}
-			c.EndReadChaotic(name)
+			ref.Release()
 			c.Barrier()
 			c.Barrier() // conversion done; releases landed
-			u := c.BeginUseValue(name).(pack.Ints)
+			u, uref := Use[pack.Ints](c, name)
 			got = u[0]
-			c.EndUseValue(name)
+			uref.Release()
 		}
 	})
 	if got != 77 {
@@ -317,15 +317,15 @@ func TestAccumPropertyRandomUpdateCounts(t *testing.T) {
 			}
 			c.Barrier()
 			for i := 0; i < int(counts[c.Node()]%8); i++ {
-				a := c.BeginUpdateAccum(name).(pack.Ints)
+				a, ref := Update[pack.Ints](c, name)
 				a[0]++
-				c.EndUpdateAccum(name)
+				ref.Commit()
 			}
 			c.Barrier()
 			if c.Node() == 0 {
-				a := c.BeginUpdateAccum(name).(pack.Ints)
+				a, ref := Update[pack.Ints](c, name)
 				final = a[0]
-				c.EndUpdateAccum(name)
+				ref.Commit()
 			}
 		})
 		return final == total
@@ -347,16 +347,16 @@ func TestManyAccumulatorsIndependent(t *testing.T) {
 		}
 		c.Barrier()
 		for i := 0; i < k; i++ {
-			a := c.BeginUpdateAccum(N2(tagA, 11, i)).(pack.Ints)
+			a, ref := Update[pack.Ints](c, N2(tagA, 11, i))
 			a[0] += c.Node() + 1
-			c.EndUpdateAccum(N2(tagA, 11, i))
+			ref.Commit()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
 			for i := 0; i < k; i++ {
-				a := c.BeginUpdateAccum(N2(tagA, 11, i)).(pack.Ints)
+				a, ref := Update[pack.Ints](c, N2(tagA, 11, i))
 				finals[i] = a[0]
-				c.EndUpdateAccum(N2(tagA, 11, i))
+				ref.Commit()
 			}
 		}
 	})
@@ -381,11 +381,11 @@ func TestBarrierSeparatesPhases(t *testing.T) {
 		// Everyone reads everyone's value: all must exist by now as local
 		// or one-hop fetches (no producer/consumer waits necessary).
 		for i := 0; i < n; i++ {
-			v := c.BeginUseValue(N2(tagA, 12, i)).(pack.Ints)
+			v, ref := Use[pack.Ints](c, N2(tagA, 12, i))
 			if v[0] != i*10 {
 				t.Errorf("read %d, want %d", v[0], i*10)
 			}
-			c.EndUseValue(N2(tagA, 12, i))
+			ref.Release()
 		}
 	})
 }
@@ -397,9 +397,9 @@ func TestFig13StyleSynchronizationCounts(t *testing.T) {
 			c.CreateAccum(acc, ints(0))
 		}
 		c.Barrier()
-		a := c.BeginUpdateAccum(acc).(pack.Ints)
+		a, ref := Update[pack.Ints](c, acc)
 		a[0]++
-		c.EndUpdateAccum(acc)
+		ref.Commit()
 		c.Barrier()
 	})
 	var acq, barr int64
@@ -424,9 +424,9 @@ func TestElapsedDeterminismAccums(t *testing.T) {
 			}
 			c.Barrier()
 			for i := 0; i < 5; i++ {
-				a := c.BeginUpdateAccum(name).(pack.Ints)
+				a, ref := Update[pack.Ints](c, name)
 				a[0]++
-				c.EndUpdateAccum(name)
+				ref.Commit()
 				c.Compute(1e4)
 			}
 		})

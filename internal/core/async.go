@@ -16,36 +16,44 @@ import (
 // wants to keep it must copy — the Item storage belongs to the cache.
 //
 // FetchValueAsync in value.go is the original member of this family; the
-// operations here extend it to the accumulator and rename protocols.
+// operations here extend it to the accumulator and rename protocols. Their
+// callbacks receive the borrow's handle, which closes through the Ctx the
+// operation was issued on: anywhere on the real-time fabrics (handlers run
+// on the application goroutine there), and from the application process —
+// a later event the callback stored the handle for — on the simulation
+// fabric, where a Ctx must not be used from handler context.
 
 // acqWaiter is one party waiting for exclusive accumulator access: a
-// blocked application call (ev) or an asynchronous continuation (cb).
+// blocked application call (ev) or an asynchronous continuation (cb, with
+// ref the handle it will receive once the grant fills in the entry).
 type acqWaiter struct {
-	ev fabric.Event
-	cb func(Item)
+	ev  fabric.Event
+	cb  func(AccumRef)
+	ref borrow
 }
 
 // renameWaiter is one party waiting for a rename grant. The blocking path
 // (ev) recycles the storage itself after waking; the asynchronous path
 // carries the new name and declared uses so handleRenameOK can do the
-// recycle in handler context before running cb.
+// recycle in handler context before running cb on ref.
 type renameWaiter struct {
 	ev      fabric.Event
 	newName Name
 	uses    int64
-	cb      func(Item)
+	cb      func(CreateRef)
+	ref     borrow
 }
 
 // AcquireAccumAsync obtains mutually exclusive access to the accumulator
 // without blocking. If this node already holds it, cb runs immediately
-// with the data and AcquireAccumAsync returns true; otherwise it returns
-// false and cb runs once the accumulator has migrated here. Either way the
-// callback owns the exclusive borrow and must end it — EndUpdateAccum
-// after an in-place update, or EndUpdateAccumToValue — before anything
-// else can acquire locally. At most one acquisition per name may be
-// pending on a node (as with BeginUpdateAccum); serialize callers above
-// this API.
-func (c *Ctx) AcquireAccumAsync(name Name, cb func(Item)) bool {
+// with the borrow's handle and AcquireAccumAsync returns true; otherwise
+// it returns false and cb runs once the accumulator has migrated here.
+// Either way the handle owns the exclusive borrow: cb, or a later event
+// it stores the handle for, must end it with Commit or CommitToValue
+// before anything else can acquire locally. At most one acquisition per
+// name may be pending on a node (as with UpdateAccum); serialize callers
+// above this API.
+func (c *Ctx) AcquireAccumAsync(name Name, cb func(AccumRef)) bool {
 	rt := c.rt
 	cnt := rt.cnt
 	cnt.SharedAccesses++
@@ -63,7 +71,7 @@ func (c *Ctx) AcquireAccumAsync(name Name, cb func(Item)) bool {
 		cnt.CacheHits++
 		rt.cache.reindex(e)
 		rt.ev(trace.EvAccAcquire, name, -1, int64(e.size), 1)
-		cb(e.item)
+		cb(AccumRef(c.borrow(e)))
 		return true
 	}
 	cnt.RemoteAccesses++
@@ -72,7 +80,7 @@ func (c *Ctx) AcquireAccumAsync(name Name, cb func(Item)) bool {
 		rt.protoErr("AcquireAccumAsync(%v): acquisition already pending", name)
 	}
 	rt.ev(trace.EvAccRequest, name, name.home(rt.n), 0, 0)
-	rt.acqWait[name] = &acqWaiter{cb: cb}
+	rt.acqWait[name] = &acqWaiter{cb: cb, ref: c.borrow(nil)}
 	rt.send(c.fc, name.home(rt.n), smallMsgSize, msgAccAcq{name: name, from: rt.node})
 	return false
 }
@@ -107,28 +115,14 @@ func (c *Ctx) FetchChaoticAsync(name Name, cb func(Item)) bool {
 }
 
 // RenameValueAsync reuses the storage of the fully-consumed value old for
-// a new value named new, without blocking: cb receives the recycled
-// storage for re-initialization once all of old's declared uses have
-// drained (immediately, if they already have). The caller must be old's
-// creator, as with BeginRenameValue, and cb must publish the new value
-// with EndRenameValue. At most one rename per name may be pending.
-func (c *Ctx) RenameValueAsync(old, new Name, uses int64, cb func(Item)) {
+// a new value named new, without blocking: cb receives the handle of the
+// recycled storage for re-initialization once all of old's declared uses
+// have drained (immediately, if they already have). The caller must be
+// old's creator, as with BeginRenameValue, and cb must Publish the new
+// value. At most one rename per name may be pending.
+func (c *Ctx) RenameValueAsync(old, new Name, uses int64, cb func(CreateRef)) {
 	rt := c.rt
-	cnt := rt.cnt
-	cnt.SharedAccesses++
-	cnt.Renames++
-	rt.chargeAddr(c.fc)
-	e := rt.cache.lookup(old)
-	if e == nil || !e.owner || e.kind != kindValue || e.creating {
-		rt.protoErr("RenameValueAsync(%v): not a published value owned here", old)
-	}
-	if e.pins > 0 {
-		rt.protoErr("RenameValueAsync(%v): still in use locally", old)
-	}
-	if rt.renameWait[old] != nil {
-		rt.protoErr("RenameValueAsync(%v): rename already pending", old)
-	}
-	rt.ev(trace.EvRenameBegin, old, -1, int64(e.size), 0)
-	rt.renameWait[old] = &renameWaiter{newName: new, uses: uses, cb: cb}
+	c.requestRename("RenameValueAsync", old)
+	rt.renameWait[old] = &renameWaiter{newName: new, uses: uses, cb: cb, ref: c.borrow(nil)}
 	rt.send(c.fc, old.home(rt.n), smallMsgSize, msgRenameReq{name: old, from: rt.node})
 }

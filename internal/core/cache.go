@@ -30,9 +30,9 @@ type entry struct {
 	size int
 
 	owner       bool // authoritative copy: value creator / current accum holder
-	creating    bool // value being filled in between BeginCreate and EndCreate
+	creating    bool // value being filled in between BeginCreateValue and Publish
 	stale       bool // accumulator snapshot left behind after migration
-	busy        bool // accumulator currently inside Begin/EndUpdate locally
+	busy        bool // accumulator currently inside UpdateAccum/Commit locally
 	reserved    bool // accumulator arrived for a local acquirer not yet resumed
 	dropOnUnpin bool // reclaim as soon as the last pin is released
 
@@ -46,7 +46,7 @@ type entry struct {
 
 	// Intrusive LRU links; non-nil iff the entry is evictable (in the LRU
 	// list). Threading the list through the entries keeps pin/unpin — the
-	// per-access cache management on every Begin/End — free of
+	// per-access cache management on every borrow and close — free of
 	// allocations.
 	lruPrev, lruNext *entry
 }
@@ -182,7 +182,7 @@ func (c *cache) insert(e *entry) {
 }
 
 // resize adjusts the byte accounting when an item's size changes in
-// place (a value filled in after BeginCreate, an accumulator refreshed
+// place (a value filled in after BeginCreateValue, an accumulator refreshed
 // by migration or a snapshot). It does not trigger eviction: the entry
 // is live at the call sites, and the cache sheds the overflow on the
 // next insert.

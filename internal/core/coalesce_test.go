@@ -22,16 +22,16 @@ func chatty(total *int) func(*Ctx) {
 		for r := 0; r < rounds; r++ {
 			name := N2(tagT, c.Node(), r)
 			c.CreateValue(name, ints(c.Node()+r), int64(c.N()))
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := Update[pack.Ints](c, acc)
 			a[0]++
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 			c.Barrier()
 			for peer := 0; peer < c.N(); peer++ {
-				v := c.BeginUseValue(N2(tagT, peer, r)).(pack.Ints)
+				v, ref := Use[pack.Ints](c, N2(tagT, peer, r))
 				if v[0] != peer+r {
 					panic("wrong value observed")
 				}
-				c.EndUseValue(N2(tagT, peer, r))
+				ref.Release()
 			}
 			c.Barrier()
 		}
@@ -44,9 +44,9 @@ func chatty(total *int) func(*Ctx) {
 		}
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := Update[pack.Ints](c, acc)
 			*total = a[0]
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 	}
 }

@@ -46,11 +46,11 @@ func TestCacheReclamationUnderEvictionPressure(t *testing.T) {
 					// pass's evictions dropped.
 					for pass := 0; pass < 2; pass++ {
 						for i := 0; i < vals; i++ {
-							v := c.BeginUseValue(N1(tagF, i)).(pack.Float64s)
+							v, ref := Use[pack.Float64s](c, N1(tagF, i))
 							if v[0] != float64(i) {
 								t.Errorf("pass %d: value %d reads %v", pass, i, v[0])
 							}
-							c.EndUseValue(N1(tagF, i))
+							ref.Release()
 						}
 					}
 				}
@@ -180,7 +180,7 @@ func TestSpawnTaskWhenValues(t *testing.T) {
 // the fault model: a rank dies (scheduled faultfab crash) while the
 // accumulator migration chain is hot on a real TCP cluster. Every
 // surviving rank's World.Run must return a bounded-time error naming the
-// fault — never hang in BeginUpdateAccum — and the error must carry the
+// fault — never hang in UpdateAccum — and the error must carry the
 // runtime's wrapping so callers can tell it from an application failure.
 func TestAccumMigrationInterruptedByRankKill(t *testing.T) {
 	const nodes = 3
@@ -203,9 +203,9 @@ func TestAccumMigrationInterruptedByRankKill(t *testing.T) {
 		// handler and keep the accumulator local), so rank 1 is guaranteed
 		// a steady send stream and the crash lands mid-protocol.
 		for i := 0; i < 500; i++ {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := Update[pack.Ints](c, acc)
 			a[0]++
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 			c.Barrier()
 		}
 	})

@@ -1,31 +1,56 @@
 package core
 
-import "samsys/internal/trace"
+import (
+	"fmt"
 
-// Handle-based borrow API. Begin/End pairs name the item twice, and a
-// mismatched or misspelled name in the End call releases the wrong
-// borrow (or panics) far from the mistake. A handle carries its own
-// identity: UseValue returns a ValueRef whose Release cannot name the
-// wrong item, and whose entry pointer makes Release lookup-free. The
-// Begin*/End* pairs remain as thin wrappers for existing code.
+	"samsys/internal/trace"
+)
+
+// Borrow handles. The paper's begin/end primitives name the item twice,
+// and a mismatched or misspelled name in the closing call ends the wrong
+// borrow (or panics) far from the mistake. Here every borrow — blocking
+// or asynchronous, read, update or in-place create — is opened by a call
+// that returns a handle and closed through that handle, so a close cannot
+// name the wrong item and needs no lookup: the handle holds the entry.
 //
 // Handles are values, not pointers: holding one allocates nothing, which
-// keeps the cached-read fast path at zero allocations per borrow.
+// keeps the cached-read fast path at zero allocations per borrow. The
+// zero handle is not a borrow; closing it is reported like any misuse.
+
+// badClose reports a close through a handle that does not hold the borrow
+// (already closed, or the zero handle): a protocol error on the handle's
+// node, or a plain panic for the zero handle, which has no node (only an
+// open borrow has an entry, and every handle with an entry has its Ctx).
+func (c *Ctx) badClose(e *entry, op, why string) {
+	if e == nil {
+		panic(fmt.Sprintf("sam: %s on a zero handle", op))
+	}
+	c.rt.protoErr("%s(%v): %s", op, e.name, why)
+}
+
+// borrow is the representation every handle shares: the Ctx the
+// borrow was opened on and the cache entry it holds.
+type borrow struct {
+	c *Ctx
+	e *entry
+}
+
+// borrow makes the handle representation: the one place a Ctx is stored.
+func (c *Ctx) borrow(e *entry) borrow {
+	//samlint:ignore ctxleak a handle is a borrow of this process's own Ctx, closed before the Ctx ends
+	return borrow{c: c, e: e}
+}
 
 // ValueRef is a borrowed, pinned reference to a single-assignment value.
 // Obtain with Ctx.UseValue; release exactly once with Release. The Item
 // is shared storage — treat it as immutable, like any used value.
-type ValueRef struct {
-	c *Ctx
-	e *entry
-}
+type ValueRef borrow
 
 // UseValue pins the named value locally (fetching it if needed, blocking
 // until it exists) and returns a handle to the shared, read-only
 // storage. The cached path performs no copy and no allocation.
 func (c *Ctx) UseValue(name Name) ValueRef {
-	//samlint:ignore ctxleak the handle is a stack-lived borrow of this process's own Ctx, released before the Ctx ends
-	return ValueRef{c: c, e: c.useValue(name)}
+	return ValueRef(c.borrow(c.useValue(name)))
 }
 
 // Item returns the borrowed value's contents. Shared storage: do not
@@ -38,26 +63,23 @@ func (r ValueRef) Name() Name { return r.e.name }
 // Release ends the borrow, unpinning the local copy so it becomes
 // evictable again. Release the same handle only once.
 func (r ValueRef) Release() {
-	rt := r.c.rt
 	if r.e == nil || r.e.pins <= 0 {
-		rt.protoErr("ValueRef.Release(%v): not in use here", r.Name())
+		r.c.badClose(r.e, "ValueRef.Release", "not in use here")
 	}
-	rt.unpin(r.e)
+	r.c.rt.unpin(r.e)
 }
 
 // AccumRef is exclusive access to an accumulator, obtained with
-// Ctx.UpdateAccum and ended with exactly one Commit or CommitToValue.
-type AccumRef struct {
-	c *Ctx
-	e *entry
-}
+// Ctx.UpdateAccum or delivered to an AcquireAccumAsync callback, and
+// ended with exactly one Commit or CommitToValue.
+type AccumRef borrow
 
 // UpdateAccum obtains mutually exclusive access to the accumulator,
 // migrating it here if necessary, and returns a handle to its data for
-// in-place update. Updates must be commutative, as in BeginUpdateAccum.
+// in-place update. Updates must be commutative: their final effect must
+// not depend on the order processors obtain access.
 func (c *Ctx) UpdateAccum(name Name) AccumRef {
-	//samlint:ignore ctxleak the handle is a stack-lived borrow of this process's own Ctx, committed before the Ctx ends
-	return AccumRef{c: c, e: c.updateAccum(name)}
+	return AccumRef(c.borrow(c.updateAccum(name)))
 }
 
 // Item returns the accumulator's data for in-place mutation.
@@ -69,35 +91,35 @@ func (r AccumRef) Name() Name { return r.e.name }
 // Commit publishes the update and, if a successor is queued, hands the
 // accumulator to it.
 func (r AccumRef) Commit() {
-	rt := r.c.rt
 	if r.e == nil || !r.e.busy || !r.e.owner {
-		rt.protoErr("AccumRef.Commit(%v): not being updated here", r.Name())
+		r.c.badClose(r.e, "AccumRef.Commit", "not being updated here")
 	}
 	r.c.commitAccum(r.e)
 }
 
 // CommitToValue commits the final update and converts the accumulator
-// into an immutable value in place, as EndUpdateAccumToValue.
+// into a value in place: the data becomes immutable, queued value fetches
+// for the name are satisfied, and stale snapshots elsewhere are
+// reclaimed. uses declares the value's access count as in CreateValue.
+// This is how a datum moves between mutation and read-only phases
+// without copying (Section 3.1).
 func (r AccumRef) CommitToValue(uses int64) {
-	rt := r.c.rt
 	if r.e == nil || !r.e.busy || !r.e.owner {
-		rt.protoErr("AccumRef.CommitToValue(%v): not being updated here", r.Name())
+		r.c.badClose(r.e, "AccumRef.CommitToValue", "not being updated here")
 	}
 	r.c.commitAccumToValue(r.e, uses)
 }
 
 // ChaoticRef is a pinned "recent version" snapshot of an accumulator,
 // obtained with Ctx.ReadChaotic and released exactly once with Release.
-type ChaoticRef struct {
-	c *Ctx
-	e *entry
-}
+type ChaoticRef borrow
 
-// ReadChaotic returns a handle to a recent (possibly stale) snapshot of
-// the accumulator, as BeginReadChaotic. The data is read-only.
+// ReadChaotic returns a handle to a "recent" version of the accumulator:
+// the local copy if any version is cached (possibly stale — that is the
+// point), otherwise a snapshot fetched from a recent holder. The data is
+// read-only and pinned until Release.
 func (c *Ctx) ReadChaotic(name Name) ChaoticRef {
-	//samlint:ignore ctxleak the handle is a stack-lived borrow of this process's own Ctx, released before the Ctx ends
-	return ChaoticRef{c: c, e: c.readChaotic(name)}
+	return ChaoticRef(c.borrow(c.readChaotic(name)))
 }
 
 // Item returns the snapshot contents. Read-only shared storage.
@@ -108,11 +130,32 @@ func (r ChaoticRef) Name() Name { return r.e.name }
 
 // Release ends the chaotic read.
 func (r ChaoticRef) Release() {
-	rt := r.c.rt
 	if r.e == nil || r.e.pins <= 0 {
-		rt.protoErr("ChaoticRef.Release(%v): not being read here", r.Name())
+		r.c.badClose(r.e, "ChaoticRef.Release", "not being read here")
 	}
-	rt.unpin(r.e)
+	r.c.rt.unpin(r.e)
+}
+
+// CreateRef is a value under creation: storage registered under its name
+// but invisible to other processors until Publish. Obtain with
+// Ctx.BeginCreateValue, Ctx.BeginRenameValue, the typed CreateInPlace and
+// Rename, or the RenameValueAsync callback; publish exactly once.
+type CreateRef borrow
+
+// Item returns the storage to initialize. It is the creator's to write
+// until Publish and immutable afterwards.
+func (r CreateRef) Item() Item { return r.e.item }
+
+// Name returns the name the value will be published under.
+func (r CreateRef) Name() Name { return r.e.name }
+
+// Publish atomically publishes the value: from this instant it is
+// immutable, and any processor waiting for it will be satisfied.
+func (r CreateRef) Publish() {
+	if r.e == nil || !r.e.creating {
+		r.c.badClose(r.e, "CreateRef.Publish", "not a value under creation here")
+	}
+	r.c.publishValue(r.e)
 }
 
 // unpin drops one pin and restores the entry's eviction eligibility —

@@ -11,7 +11,7 @@ type Item = pack.Item
 
 // --- value protocol ---
 
-// msgValCreated: creator -> home, after EndCreateValue.
+// msgValCreated: creator -> home, at Publish.
 type msgValCreated struct {
 	name  Name
 	owner int

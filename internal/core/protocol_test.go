@@ -25,21 +25,21 @@ func TestRenameAfterUsesAlreadyDrained(t *testing.T) {
 			c.CreateValue(old, ints(7), 1)
 			c.Barrier() // consumer consumes during this window
 			c.Barrier()
-			buf := c.BeginRenameValue(old, next, 1).(pack.Ints)
+			buf, ref := Rename[pack.Ints](c, old, next, 1)
 			buf[0] = 8
-			c.EndRenameValue(next)
+			ref.Publish()
 		case 1:
 			c.Barrier()
-			v := c.BeginUseValue(old).(pack.Ints)
+			v, ref := Use[pack.Ints](c, old)
 			if v[0] != 7 {
 				t.Errorf("old = %d", v[0])
 			}
-			c.EndUseValue(old)
+			ref.Release()
 			c.DoneValue(old, 1)
 			c.Barrier() // drain happens before rename is requested
-			v2 := c.BeginUseValue(next).(pack.Ints)
+			v2, ref := Use[pack.Ints](c, next)
 			got = v2[0]
-			c.EndUseValue(next)
+			ref.Release()
 			c.DoneValue(next, 1)
 		}
 	})
@@ -70,14 +70,14 @@ func TestReentrantUpdatePanics(t *testing.T) {
 	runCM5(t, 1, Options{}, func(c *Ctx) {
 		name := N1(tagA, 31)
 		c.CreateAccum(name, ints(0))
-		c.BeginUpdateAccum(name)
-		c.BeginUpdateAccum(name)
+		c.UpdateAccum(name)
+		c.UpdateAccum(name)
 	})
 }
 
 func TestUseValueOfAccumWaitsForConversion(t *testing.T) {
-	// A BeginUseValue issued while the name is still an accumulator must
-	// block until EndUpdateAccumToValue, not return the mutable data.
+	// A UseValue issued while the name is still an accumulator must
+	// block until CommitToValue, not return the mutable data.
 	var sawFinal bool
 	runCM5(t, 2, Options{}, func(c *Ctx) {
 		name := N1(tagA, 32)
@@ -86,14 +86,14 @@ func TestUseValueOfAccumWaitsForConversion(t *testing.T) {
 			c.CreateAccum(name, ints(0))
 			c.Barrier()
 			c.Compute(10e6) // consumer's request arrives while accum phase
-			a := c.BeginUpdateAccum(name).(pack.Ints)
+			a, ref := Update[pack.Ints](c, name)
 			a[0] = 999
-			c.EndUpdateAccumToValue(name, UsesUnlimited)
+			ref.CommitToValue(UsesUnlimited)
 		case 1:
 			c.Barrier()
-			v := c.BeginUseValue(name).(pack.Ints)
+			v, ref := Use[pack.Ints](c, name)
 			sawFinal = v[0] == 999
-			c.EndUseValue(name)
+			ref.Release()
 		}
 	})
 	if !sawFinal {
@@ -112,11 +112,11 @@ func TestEvictedSnapshotRefetchedChaotically(t *testing.T) {
 		c.Barrier()
 		if c.Node() == 1 {
 			for i := 0; i < 3; i++ {
-				v := c.BeginReadChaotic(acc).(pack.Ints)
+				v, ref := ReadChaotic[pack.Ints](c, acc)
 				if v[0] != 5 {
 					t.Errorf("chaotic read = %d", v[0])
 				}
-				c.EndReadChaotic(acc)
+				ref.Release()
 				// Flood the cache to evict the snapshot.
 				for k := 0; k < 4; k++ {
 					name := N3(tagT, 33, i, k)
@@ -142,24 +142,24 @@ func TestChaoticMaxAgeForcesRefresh(t *testing.T) {
 		}
 		c.Barrier()
 		if c.Node() == 1 {
-			v := c.BeginReadChaotic(acc).(pack.Ints)
+			v, ref := ReadChaotic[pack.Ints](c, acc)
 			if v[0] != 1 {
 				t.Errorf("first read = %d", v[0])
 			}
-			c.EndReadChaotic(acc)
+			ref.Release()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := Update[pack.Ints](c, acc)
 			a[0] = 2
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 		c.Barrier()
 		if c.Node() == 1 {
 			c.Compute(1e4) // ~1.8ms on the CM-5: snapshot now stale
-			v := c.BeginReadChaotic(acc).(pack.Ints)
+			v, ref := ReadChaotic[pack.Ints](c, acc)
 			got = v[0]
-			c.EndReadChaotic(acc)
+			ref.Release()
 		}
 	})
 	if got != 2 {
@@ -184,22 +184,22 @@ func TestRandomizedMixedWorkloadInvariants(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch rng.Intn(3) {
 				case 0:
-					a := c.BeginUpdateAccum(acc).(pack.Ints)
+					a, ref := Update[pack.Ints](c, acc)
 					a[0] += i
-					c.EndUpdateAccum(acc)
+					ref.Commit()
 					local += i
 				case 1:
-					v := c.BeginReadChaotic(acc).(pack.Ints)
+					v, ref := ReadChaotic[pack.Ints](c, acc)
 					_ = v[0]
-					c.EndReadChaotic(acc)
+					ref.Release()
 				case 2:
 					name := N3(tagT, 40, c.Node(), i)
 					c.CreateValue(name, ints(i), UsesUnlimited)
-					v := c.BeginUseValue(name).(pack.Ints)
+					v, ref := Use[pack.Ints](c, name)
 					if v[0] != i {
 						t.Errorf("self value = %d, want %d", v[0], i)
 					}
-					c.EndUseValue(name)
+					ref.Release()
 				}
 			}
 			// Publish each node's expected contribution.
@@ -208,13 +208,13 @@ func TestRandomizedMixedWorkloadInvariants(t *testing.T) {
 			if c.Node() == 0 {
 				want := 0
 				for node := 0; node < n; node++ {
-					v := c.BeginUseValue(N2(tagT, 41, node)).(pack.Ints)
+					v, ref := Use[pack.Ints](c, N2(tagT, 41, node))
 					want += v[0]
-					c.EndUseValue(N2(tagT, 41, node))
+					ref.Release()
 				}
-				a := c.BeginUpdateAccum(acc).(pack.Ints)
+				a, ref := Update[pack.Ints](c, acc)
 				total = a[0] - want // zero if no updates lost
-				c.EndUpdateAccum(acc)
+				ref.Commit()
 			}
 		})
 		if total != 0 {
@@ -233,14 +233,14 @@ func TestManyNodesSmoke(t *testing.T) {
 			c.CreateAccum(acc, ints(0))
 		}
 		c.Barrier()
-		a := c.BeginUpdateAccum(acc).(pack.Ints)
+		a, ref := Update[pack.Ints](c, acc)
 		a[0] += c.Node()
-		c.EndUpdateAccum(acc)
+		ref.Commit()
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := Update[pack.Ints](c, acc)
 			sum = a[0]
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 	})
 	if sum != n*(n-1)/2 {
@@ -277,9 +277,9 @@ func TestDeterministicAcrossRunsFullApps(t *testing.T) {
 				if !ok {
 					break
 				}
-				a := c.BeginUpdateAccum(acc).(pack.Ints)
+				a, ref := Update[pack.Ints](c, acc)
 				a[0] += tk.(int)
-				c.EndUpdateAccum(acc)
+				ref.Commit()
 				c.Compute(1e4)
 			}
 		})

@@ -141,15 +141,15 @@ func TestTasksInterleaveWithSharedData(t *testing.T) {
 			if !ok {
 				break
 			}
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := Update[pack.Ints](c, acc)
 			a[0] += tk.(int)
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := Update[pack.Ints](c, acc)
 			total = a[0]
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 	})
 	want := tasks * (tasks + 1) / 2

@@ -2,7 +2,7 @@ package core
 
 // Typed accessors. Every shared item crosses the runtime as the Item
 // interface, so untyped access ends in a type assertion at each use
-// site (`c.BeginUseValue(n).(pack.Ints)`). These generic helpers keep
+// site (`c.UseValue(n).Item().(pack.Ints)`). These generic helpers keep
 // the assertion in one place and pair each access with its handle, so
 // call sites read as "borrow a T, then release the borrow". They add no
 // copies and no allocations over the handle API they wrap.
@@ -38,15 +38,18 @@ func Create[T Item](c *Ctx, name Name, item T, uses int64) {
 }
 
 // CreateInPlace begins creating a value and returns its storage as a T
-// to fill in place; publish with EndCreateValue. Prefer Create unless
-// the fill must happen after the storage is registered.
-func CreateInPlace[T Item](c *Ctx, name Name, item T, uses int64) T {
-	return c.BeginCreateValue(name, item, uses).(T)
+// to fill in place, together with the handle: publish with
+// ref.Publish(). Prefer Create unless the fill must happen after the
+// storage is registered.
+func CreateInPlace[T Item](c *Ctx, name Name, item T, uses int64) (T, CreateRef) {
+	ref := c.BeginCreateValue(name, item, uses)
+	return ref.Item().(T), ref
 }
 
 // Rename reuses the storage of the consumed value old for the new value
-// (suspending until old is fully consumed) and returns it as a T to
-// fill in place; publish with EndCreateValue(new).
-func Rename[T Item](c *Ctx, old, new Name, uses int64) T {
-	return c.BeginRenameValue(old, new, uses).(T)
+// (suspending until old is fully consumed) and returns it as a T to fill
+// in place, together with the handle: publish with ref.Publish().
+func Rename[T Item](c *Ctx, old, new Name, uses int64) (T, CreateRef) {
+	ref := c.BeginRenameValue(old, new, uses)
+	return ref.Item().(T), ref
 }

@@ -13,11 +13,16 @@ const UsesUnlimited int64 = -1
 // --- application-side operations (called on Ctx) ---
 
 // BeginCreateValue allocates a new value in the global name space and
-// returns its storage for initialization. The value is invisible to other
-// processors until EndCreateValue. uses declares the total number of
-// DoneValue units after which the system may reclaim remote copies
-// (UsesUnlimited if unknown).
-func (c *Ctx) BeginCreateValue(name Name, item Item, uses int64) Item {
+// returns a handle to its storage for initialization. The value is
+// invisible to other processors until the handle's Publish. uses declares
+// the total number of DoneValue units after which the system may reclaim
+// remote copies (UsesUnlimited if unknown).
+func (c *Ctx) BeginCreateValue(name Name, item Item, uses int64) CreateRef {
+	return CreateRef(c.borrow(c.beginCreate(name, item, uses)))
+}
+
+// beginCreate registers the value under creation and returns its entry.
+func (c *Ctx) beginCreate(name Name, item Item, uses int64) *entry {
 	rt := c.rt
 	cnt := rt.cnt
 	cnt.SharedAccesses++
@@ -32,40 +37,24 @@ func (c *Ctx) BeginCreateValue(name Name, item Item, uses int64) Item {
 	}
 	rt.cache.insert(e)
 	rt.ev(trace.EvValCreate, name, -1, int64(e.size), uses)
-	return e.item
+	return e
 }
 
-// EndCreateValue atomically publishes the value: from this instant it is
-// immutable, and any processor waiting for it will be satisfied.
-func (c *Ctx) EndCreateValue(name Name) {
+// publishValue is CreateRef.Publish on a checked entry.
+func (c *Ctx) publishValue(e *entry) {
 	rt := c.rt
-	e := rt.cache.lookup(name)
-	if e == nil || !e.creating || !e.owner || e.kind != kindValue {
-		rt.protoErr("EndCreateValue(%v): not a value under creation here", name)
-	}
 	e.creating = false
 	rt.cache.resize(e, e.item.SizeBytes()) // may have grown during initialization
-	rt.ev(trace.EvValPublish, name, -1, int64(e.size), e.declaredUses)
-	rt.send(c.fc, name.home(rt.n), smallMsgSize,
-		msgValCreated{name: name, owner: rt.node, uses: e.declaredUses})
+	rt.ev(trace.EvValPublish, e.name, -1, int64(e.size), e.declaredUses)
+	rt.send(c.fc, e.name.home(rt.n), smallMsgSize,
+		msgValCreated{name: e.name, owner: rt.node, uses: e.declaredUses})
 	rt.wakeValWaiters(c.fc, e)
 }
 
-// CreateValue is BeginCreateValue plus EndCreateValue for values whose
-// contents are ready up front.
+// CreateValue is BeginCreateValue plus Publish for values whose contents
+// are ready up front.
 func (c *Ctx) CreateValue(name Name, item Item, uses int64) {
-	c.BeginCreateValue(name, item, uses)
-	c.EndCreateValue(name)
-}
-
-// BeginUseValue returns the named value, suspending the caller until the
-// value has been created and a copy brought to this processor. The copy is
-// pinned until EndUseValue.
-//
-// Deprecated: use UseValue (or the typed Use), whose handle cannot
-// release the wrong borrow and whose Release is lookup-free.
-func (c *Ctx) BeginUseValue(name Name) Item {
-	return c.useValue(name).item
+	c.publishValue(c.beginCreate(name, item, uses))
 }
 
 // useValue pins the named value locally — the cached fast path returns
@@ -98,18 +87,6 @@ func (c *Ctx) useValue(name Name) *entry {
 	}
 }
 
-// EndUseValue releases the pin taken by BeginUseValue.
-//
-// Deprecated: release the ValueRef returned by UseValue instead.
-func (c *Ctx) EndUseValue(name Name) {
-	rt := c.rt
-	e := rt.cache.lookup(name)
-	if e == nil || e.pins <= 0 {
-		rt.protoErr("EndUseValue(%v): not in use here", name)
-	}
-	rt.unpin(e)
-}
-
 // DoneValue consumes k of the value's declared uses. When all declared
 // uses are consumed the system reclaims remote copies and allows a pending
 // rename of the value's storage to proceed.
@@ -129,10 +106,22 @@ func (c *Ctx) DestroyValue(name Name) {
 
 // BeginRenameValue reuses the storage of the fully-consumed value old for
 // a new value named new, suspending until all of old's declared uses have
-// completed. It must be called by old's creator. It returns the storage
-// (the old value's item) for re-initialization; publish with
-// EndRenameValue (equivalently EndCreateValue) on the new name.
-func (c *Ctx) BeginRenameValue(old, new Name, uses int64) Item {
+// completed. It must be called by old's creator. It returns a handle to
+// the storage (the old value's item) for re-initialization; Publish makes
+// it visible under the new name.
+func (c *Ctx) BeginRenameValue(old, new Name, uses int64) CreateRef {
+	rt := c.rt
+	e := c.requestRename("BeginRenameValue", old)
+	ev := c.fc.NewEvent()
+	rt.renameWait[old] = &renameWaiter{ev: ev}
+	rt.send(c.fc, old.home(rt.n), smallMsgSize, msgRenameReq{name: old, from: rt.node})
+	c.rt.wait(c.fc, ev, stats.Stall)
+	return CreateRef(c.borrow(rt.recycleValue(e, new, uses)))
+}
+
+// requestRename is the checked, counted front of both rename flavours; it
+// returns old's entry. op names the caller for diagnostics.
+func (c *Ctx) requestRename(op string, old Name) *entry {
 	rt := c.rt
 	cnt := rt.cnt
 	cnt.SharedAccesses++
@@ -140,19 +129,22 @@ func (c *Ctx) BeginRenameValue(old, new Name, uses int64) Item {
 	rt.chargeAddr(c.fc)
 	e := rt.cache.lookup(old)
 	if e == nil || !e.owner || e.kind != kindValue || e.creating {
-		rt.protoErr("BeginRenameValue(%v): not a published value owned here", old)
+		rt.protoErr("%s(%v): not a published value owned here", op, old)
 	}
 	if e.pins > 0 {
-		rt.protoErr("BeginRenameValue(%v): still in use locally", old)
+		rt.protoErr("%s(%v): still in use locally", op, old)
+	}
+	if rt.renameWait[old] != nil {
+		rt.protoErr("%s(%v): rename already pending", op, old)
 	}
 	rt.ev(trace.EvRenameBegin, old, -1, int64(e.size), 0)
-	ev := c.fc.NewEvent()
-	rt.renameWait[old] = &renameWaiter{ev: ev}
-	rt.send(c.fc, old.home(rt.n), smallMsgSize, msgRenameReq{name: old, from: rt.node})
-	c.rt.wait(c.fc, ev, stats.Stall)
-	// All uses have drained; recycle the storage under the new name. The
-	// item moves to the new entry, so it must not go back to the transport:
-	// detach it before remove.
+	return e
+}
+
+// recycleValue moves the drained value e's storage to a fresh entry under
+// creation named new. The item moves to the new entry, so it must not go
+// back to the transport: detach it before remove.
+func (rt *nodeRT) recycleValue(e *entry, new Name, uses int64) *entry {
 	item := e.item
 	e.item = nil
 	rt.cache.remove(e)
@@ -161,11 +153,8 @@ func (c *Ctx) BeginRenameValue(old, new Name, uses int64) Item {
 		owner: true, creating: true, declaredUses: uses,
 	}
 	rt.cache.insert(ne)
-	return ne.item
+	return ne
 }
-
-// EndRenameValue publishes the renamed value; identical to EndCreateValue.
-func (c *Ctx) EndRenameValue(name Name) { c.EndCreateValue(name) }
 
 // PushValue sends a copy of a locally available value to processor dst,
 // where it is cached as if dst had fetched it. Pushing is purely an
@@ -435,7 +424,8 @@ func (rt *nodeRT) handleRenameReq(fc fabric.Ctx, m msgRenameReq) {
 // handleRenameOK (owner): the old storage is free for reuse. A blocking
 // renamer (BeginRenameValue) is woken to recycle the storage itself; an
 // asynchronous renamer (RenameValueAsync) has the recycle done here, in
-// handler context, and receives the new storage through its callback.
+// handler context, and receives the new value's handle through its
+// callback.
 func (rt *nodeRT) handleRenameOK(fc fabric.Ctx, m msgRenameOK) {
 	w := rt.renameWait[m.name]
 	if w == nil {
@@ -450,17 +440,8 @@ func (rt *nodeRT) handleRenameOK(fc fabric.Ctx, m msgRenameOK) {
 	if e == nil || !e.owner {
 		rt.protoErr("rename grant for %v but the storage is gone", m.name)
 	}
-	// The storage is reborn under the new name: detach it so remove does
-	// not hand it back to the transport.
-	item := e.item
-	e.item = nil
-	rt.cache.remove(e)
-	ne := &entry{
-		name: w.newName, kind: kindValue, item: item, size: e.size,
-		owner: true, creating: true, declaredUses: w.uses,
-	}
-	rt.cache.insert(ne)
-	w.cb(ne.item)
+	w.ref.e = rt.recycleValue(e, w.newName, w.uses)
+	w.cb(CreateRef(w.ref))
 }
 
 // handleDestroy (home): reclaim every copy including the owner's.

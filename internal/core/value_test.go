@@ -57,13 +57,13 @@ func TestValueProducerConsumer(t *testing.T) {
 		name := N1(tagT, 7)
 		switch c.Node() {
 		case 0:
-			buf := c.BeginCreateValue(name, ints(0, 0, 0), UsesUnlimited).(pack.Ints)
+			buf, ref := CreateInPlace(c, name, ints(0, 0, 0), UsesUnlimited)
 			buf[0], buf[1], buf[2] = 10, 20, 30
-			c.EndCreateValue(name)
+			ref.Publish()
 		case 1:
-			v := c.BeginUseValue(name).(pack.Ints)
+			v, ref := Use[pack.Ints](c, name)
 			got = append(pack.Ints{}, v...)
-			c.EndUseValue(name)
+			ref.Release()
 		}
 	})
 	if fmt.Sprint(got) != "[10 20 30]" {
@@ -82,14 +82,14 @@ func TestValueIsolationBetweenNodes(t *testing.T) {
 			c.CreateValue(name, ints(5), UsesUnlimited)
 			c.Barrier() // wait for node 1 to fetch and mutate
 			c.Barrier()
-			v := c.BeginUseValue(name).(pack.Ints)
+			v, ref := Use[pack.Ints](c, name)
 			ownerSees = v[0]
-			c.EndUseValue(name)
+			ref.Release()
 		case 1:
 			c.Barrier()
-			v := c.BeginUseValue(name).(pack.Ints)
+			v, ref := Use[pack.Ints](c, name)
 			v[0] = 999 // illegal mutation of a copy; must stay local
-			c.EndUseValue(name)
+			ref.Release()
 			c.Barrier()
 		}
 	})
@@ -107,8 +107,7 @@ func TestValueCachingAvoidsRefetch(t *testing.T) {
 			return
 		}
 		for i := 0; i < 5; i++ {
-			c.BeginUseValue(name)
-			c.EndUseValue(name)
+			c.UseValue(name).Release()
 		}
 	})
 	_ = w
@@ -129,8 +128,7 @@ func TestNoCacheRefetchesEveryUse(t *testing.T) {
 			return
 		}
 		for i := 0; i < 5; i++ {
-			c.BeginUseValue(name)
-			c.EndUseValue(name)
+			c.UseValue(name).Release()
 		}
 	})
 	cnt := fab.Counters(1)
@@ -149,8 +147,7 @@ func TestUsesDrainReclaimsCopies(t *testing.T) {
 		}
 		c.Barrier()
 		if c.Node() != 0 {
-			c.BeginUseValue(name)
-			c.EndUseValue(name)
+			c.UseValue(name).Release()
 			c.DoneValue(name, 1)
 		}
 		c.Barrier()
@@ -175,22 +172,22 @@ func TestRenameWaitsForUses(t *testing.T) {
 		old, new := N2(tagT, 5, 0), N2(tagT, 5, 1)
 		switch c.Node() {
 		case 0:
-			buf := c.BeginCreateValue(old, ints(100), 1).(pack.Ints)
+			buf, ref := CreateInPlace(c, old, ints(100), 1)
 			buf[0] = 100
-			c.EndCreateValue(old)
-			buf2 := c.BeginRenameValue(old, new, 1).(pack.Ints)
+			ref.Publish()
+			buf2, ref := Rename[pack.Ints](c, old, new, 1)
 			buf2[0] = 200
-			c.EndRenameValue(new)
+			ref.Publish()
 		case 1:
-			v := c.BeginUseValue(old).(pack.Ints)
+			v, ref := Use[pack.Ints](c, old)
 			if v[0] != 100 {
 				t.Errorf("old value = %d, want 100", v[0])
 			}
-			c.EndUseValue(old)
+			ref.Release()
 			c.DoneValue(old, 1)
-			v2 := c.BeginUseValue(new).(pack.Ints)
+			v2, ref := Use[pack.Ints](c, new)
 			got = v2[0]
-			c.EndUseValue(new)
+			ref.Release()
 			c.DoneValue(new, 1)
 		}
 	})
@@ -210,19 +207,20 @@ func TestFiniteBufferPipeline(t *testing.T) {
 		case 0:
 			for i := 0; i < items; i++ {
 				var buf pack.Ints
+				var ref CreateRef
 				if i < slots {
-					buf = c.BeginCreateValue(name(i), ints(0), 1).(pack.Ints)
+					buf, ref = CreateInPlace(c, name(i), ints(0), 1)
 				} else {
-					buf = c.BeginRenameValue(name(i-slots), name(i), 1).(pack.Ints)
+					buf, ref = Rename[pack.Ints](c, name(i-slots), name(i), 1)
 				}
 				buf[0] = i * i
-				c.EndCreateValue(name(i))
+				ref.Publish()
 			}
 		case 1:
 			for i := 0; i < items; i++ {
-				v := c.BeginUseValue(name(i)).(pack.Ints)
+				v, ref := Use[pack.Ints](c, name(i))
 				got = append(got, v[0])
-				c.EndUseValue(name(i))
+				ref.Release()
 				c.DoneValue(name(i), 1)
 			}
 		}
@@ -247,11 +245,11 @@ func TestPushEliminatesFetchLatency(t *testing.T) {
 		}
 		c.Barrier()
 		if c.Node() == 1 {
-			v := c.BeginUseValue(name).(pack.Ints)
+			v, ref := Use[pack.Ints](c, name)
 			if v[0] != 7 {
 				t.Errorf("pushed value = %d, want 7", v[0])
 			}
-			c.EndUseValue(name)
+			ref.Release()
 		}
 	})
 	cnt := fab.Counters(1)
@@ -272,8 +270,7 @@ func TestNoPushOptionDisablesPush(t *testing.T) {
 		}
 		c.Barrier()
 		if c.Node() == 1 {
-			c.BeginUseValue(name)
-			c.EndUseValue(name)
+			c.UseValue(name).Release()
 		}
 	})
 	if fab.Counters(1).RemoteAccesses != 1 {
@@ -296,9 +293,9 @@ func TestPushBeforeUseBuffersLikeMessagePassing(t *testing.T) {
 			c.CreateValue(name, ints(55), UsesUnlimited)
 			c.PushValue(name, 1)
 		case 1:
-			v := c.BeginUseValue(name).(pack.Ints) // waits for the push
+			v, ref := Use[pack.Ints](c, name) // waits for the push
 			got = v[0]
-			c.EndUseValue(name)
+			ref.Release()
 		}
 	})
 	if got != 55 {
@@ -362,8 +359,7 @@ func TestDestroyValueReclaimsEverywhere(t *testing.T) {
 			c.CreateValue(name, ints(1), UsesUnlimited)
 		}
 		c.Barrier()
-		c.BeginUseValue(name)
-		c.EndUseValue(name)
+		c.UseValue(name).Release()
 		c.Barrier()
 		if c.Node() == 0 {
 			c.DestroyValue(name)
@@ -391,8 +387,7 @@ func TestLRUEvictionUnderCachePressure(t *testing.T) {
 			// Each value is 64 bytes; the 256-byte cache holds 4.
 			for round := 0; round < 2; round++ {
 				for i := 0; i < 8; i++ {
-					c.BeginUseValue(N2(tagT, 14, i))
-					c.EndUseValue(N2(tagT, 14, i))
+					c.UseValue(N2(tagT, 14, i)).Release()
 				}
 			}
 		}
@@ -424,9 +419,9 @@ func TestManyConsumersSingleProducer(t *testing.T) {
 		if c.Node() == 0 {
 			c.CreateValue(name, ints(321), UsesUnlimited)
 		}
-		v := c.BeginUseValue(name).(pack.Ints)
+		v, ref := Use[pack.Ints](c, name)
 		results[c.Node()] = v[0]
-		c.EndUseValue(name)
+		ref.Release()
 	})
 	for i, r := range results {
 		if r != 321 {
@@ -445,8 +440,7 @@ func TestProdConsWaitCounted(t *testing.T) {
 			c.Compute(50e6) // delay creation
 			c.CreateValue(name, ints(1), UsesUnlimited)
 		case 1:
-			c.BeginUseValue(name)
-			c.EndUseValue(name)
+			c.UseValue(name).Release()
 		}
 	})
 	var waits int64
@@ -472,11 +466,11 @@ func TestValueUseAcrossManyNamesDeterministic(t *testing.T) {
 			}
 			c.Barrier()
 			for i := 0; i < 10; i++ {
-				v := c.BeginUseValue(N2(tagT, 18, i)).(pack.Ints)
+				v, ref := Use[pack.Ints](c, N2(tagT, 18, i))
 				if v[0] != i {
 					t.Errorf("value %d = %d", i, v[0])
 				}
-				c.EndUseValue(N2(tagT, 18, i))
+				ref.Release()
 			}
 		})
 		return fmt.Sprint(fab.Elapsed())

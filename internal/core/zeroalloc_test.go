@@ -52,10 +52,6 @@ func TestCachedUseValueZeroAlloc(t *testing.T) {
 					_ = ref.Item()
 					ref.Release()
 				}},
-				{"BeginUseValue/EndUseValue", func() {
-					_ = c.BeginUseValue(name)
-					c.EndUseValue(name)
-				}},
 				{"UpdateAccum/Commit", func() {
 					ref := c.UpdateAccum(localAcc)
 					ref.Item().(pack.Ints)[0]++
@@ -84,8 +80,8 @@ func TestCachedUseValueZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 8 {
-		t.Fatalf("measured %d paths, want 8", len(results))
+	if len(results) != 6 {
+		t.Fatalf("measured %d paths, want 6", len(results))
 	}
 	for _, r := range results {
 		if r.allocs != 0 {

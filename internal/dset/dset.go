@@ -96,17 +96,3 @@ func (s Set) Get(c *core.Ctx, i int64) (core.Item, core.ValueRef) {
 	ref := c.UseValue(s.ElemName(i))
 	return ref.Item(), ref
 }
-
-// BeginGet pins element i and returns it; pair with EndGet.
-//
-// Deprecated: use Get, whose handle cannot release the wrong element.
-func (s Set) BeginGet(c *core.Ctx, i int64) core.Item {
-	return c.BeginUseValue(s.ElemName(i))
-}
-
-// EndGet releases element i.
-//
-// Deprecated: release the handle returned by Get instead.
-func (s Set) EndGet(c *core.Ctx, i int64) {
-	c.EndUseValue(s.ElemName(i))
-}

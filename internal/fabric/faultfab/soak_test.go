@@ -54,15 +54,15 @@ func TestSoakAccumulator(t *testing.T) {
 			}
 			c.Barrier()
 			for i := 0; i < 8; i++ {
-				a := c.BeginUpdateAccum(acc).(pack.Ints)
+				a, ref := core.Update[pack.Ints](c, acc)
 				a[0]++
-				c.EndUpdateAccum(acc)
+				ref.Commit()
 			}
 			c.Barrier()
 			if c.Node() == 0 {
-				a := c.BeginUpdateAccum(acc).(pack.Ints)
+				a, ref := core.Update[pack.Ints](c, acc)
 				total = a[0]
-				c.EndUpdateAccum(acc)
+				ref.Commit()
 			}
 		})
 		if err == nil {

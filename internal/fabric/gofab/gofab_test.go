@@ -58,15 +58,15 @@ func TestSAMOnGofab(t *testing.T) {
 		}
 		c.Barrier()
 		for i := 0; i < 10; i++ {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := core.Update[pack.Ints](c, acc)
 			a[0]++
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := core.Update[pack.Ints](c, acc)
 			results[0] = int64(a[0])
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 	})
 	if err != nil {
@@ -95,11 +95,11 @@ func TestSAMValuesAndTasksOnGofab(t *testing.T) {
 			if !ok {
 				break
 			}
-			v := c.BeginUseValue(val).(pack.Ints)
+			v, ref := core.Use[pack.Ints](c, val)
 			if v[0] != 99 {
 				t.Errorf("value = %d", v[0])
 			}
-			c.EndUseValue(val)
+			ref.Release()
 			processed.Add(1)
 		}
 	})

@@ -92,76 +92,91 @@ func runBounded(t *testing.T, f fabric.Fabric, limit time.Duration, app func(fab
 // inside Send most of the time, so most pokes are handled — and their
 // nested Sends issued — under a blocked outer Send. The numbers must still
 // arrive in the order they were issued.
+//
+// Whether any poke lands under a blocked Send is up to the scheduler (over
+// TCP about one run in a hundred has none), so the scenario is repeated on
+// a fresh fabric until one does; the FIFO and checker assertions hold on
+// every attempt.
 func TestFullQueueNestedSendKeepsFIFO(t *testing.T) {
 	for _, k := range fqKinds {
 		t.Run(k.name, func(t *testing.T) {
-			f, err := k.mk(t, 2, time.Millisecond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := trace.New()
-			rec.SetCapacity(1 << 16)
-			ck := trace.NewChecker(func(format string, args ...any) {
-				t.Errorf("checker: "+format, args...)
-			})
-			ck.Attach(rec)
-			f.SetTracer(rec)
-			const msgs = 400
-			var (
-				next, nested, pokes int  // rank 0's, app and handler
-				inSend              bool // rank 0 is inside an app-level Send
-				want                int  // rank 1's
-				done                [2]fabric.Event
-			)
-			f.SetHandler(func(hc fabric.Ctx, m fabric.Message) {
-				if m.Dst == 0 { // a poke
-					if inSend {
-						nested++
-					}
-					next++
-					hc.Send(1, 8, pack.Ints{next})
-					if pokes++; pokes == msgs {
-						done[0].Signal()
-					}
+			const attempts = 5
+			for try := 1; try <= attempts; try++ {
+				f, err := k.mk(t, 2, time.Millisecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nested := nestedSendAttempt(t, f); nested > 0 {
+					t.Logf("attempt %d: %d pokes handled inside a blocked Send", try, nested)
 					return
 				}
-				if got := m.Payload.(pack.Ints)[0]; got != want+1 {
-					t.Errorf("link 0->1: message %d arrived after %d", got, want)
-				}
-				if want++; want == 2*msgs {
-					done[1].Signal()
-				}
-			})
-			err = runBounded(t, f, 30*time.Second, func(c fabric.Ctx) {
-				me := c.Node()
-				done[me] = c.NewEvent()
-				for i := 0; i < msgs; i++ {
-					if me == 0 {
-						next++
-						inSend = true
-						c.Send(1, 8, pack.Ints{next})
-						inSend = false
-					} else {
-						c.Send(0, 8, pack.Ints{i})
-					}
-				}
-				done[me].Wait(c, stats.Idle)
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
-			if want != 2*msgs {
-				t.Errorf("rank 1 received %d messages, want %d", want, 2*msgs)
-			}
-			if nested == 0 {
-				t.Error("no handler ran under a blocked Send: the test did not reach the nested path")
-			}
-			t.Logf("%d of %d pokes handled inside a blocked Send", nested, msgs)
-			if err := ck.Finish(); err != nil {
-				t.Errorf("trace checker: %v", err)
-			}
+			t.Errorf("no handler ran under a blocked Send in %d attempts: the test did not reach the nested path", attempts)
 		})
 	}
+}
+
+// nestedSendAttempt runs the nested-send scenario once on f and returns
+// how many pokes were handled inside a blocked app-level Send.
+func nestedSendAttempt(t *testing.T, f fqFabric) int {
+	rec := trace.New()
+	rec.SetCapacity(1 << 16)
+	ck := trace.NewChecker(func(format string, args ...any) {
+		t.Errorf("checker: "+format, args...)
+	})
+	ck.Attach(rec)
+	f.SetTracer(rec)
+	const msgs = 400
+	var (
+		next, nested, pokes int  // rank 0's, app and handler
+		inSend              bool // rank 0 is inside an app-level Send
+		want                int  // rank 1's
+		done                [2]fabric.Event
+	)
+	f.SetHandler(func(hc fabric.Ctx, m fabric.Message) {
+		if m.Dst == 0 { // a poke
+			if inSend {
+				nested++
+			}
+			next++
+			hc.Send(1, 8, pack.Ints{next})
+			if pokes++; pokes == msgs {
+				done[0].Signal()
+			}
+			return
+		}
+		if got := m.Payload.(pack.Ints)[0]; got != want+1 {
+			t.Errorf("link 0->1: message %d arrived after %d", got, want)
+		}
+		if want++; want == 2*msgs {
+			done[1].Signal()
+		}
+	})
+	err := runBounded(t, f, 30*time.Second, func(c fabric.Ctx) {
+		me := c.Node()
+		done[me] = c.NewEvent()
+		for i := 0; i < msgs; i++ {
+			if me == 0 {
+				next++
+				inSend = true
+				c.Send(1, 8, pack.Ints{next})
+				inSend = false
+			} else {
+				c.Send(0, 8, pack.Ints{i})
+			}
+		}
+		done[me].Wait(c, stats.Idle)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want != 2*msgs {
+		t.Errorf("rank 1 received %d messages, want %d", want, 2*msgs)
+	}
+	if err := ck.Finish(); err != nil {
+		t.Errorf("trace checker: %v", err)
+	}
+	return nested
 }
 
 // TestFullQueueFloodNoDeadlock: three ranks stream to each other at once

@@ -61,15 +61,15 @@ func TestSAMOnNetfab(t *testing.T) {
 		}
 		c.Barrier()
 		for i := 0; i < 10; i++ {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := core.Update[pack.Ints](c, acc)
 			a[0]++
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 		c.Barrier()
 		if c.Node() == 0 {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := core.Update[pack.Ints](c, acc)
 			results[0] = int64(a[0])
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 		}
 	})
 	if err != nil {
@@ -103,11 +103,11 @@ func TestSAMValuesAndTasksOnNetfab(t *testing.T) {
 			if !ok {
 				break
 			}
-			v := c.BeginUseValue(val).(pack.Ints)
+			v, ref := core.Use[pack.Ints](c, val)
 			if v[0] != 99 {
 				t.Errorf("value = %d", v[0])
 			}
-			c.EndUseValue(val)
+			ref.Release()
 			processed[c.Node()]++
 		}
 	})
@@ -151,14 +151,14 @@ func TestTraceCheckersOnLoopback(t *testing.T) {
 		}
 		c.Barrier()
 		for i := 0; i < 5; i++ {
-			a := c.BeginUpdateAccum(acc).(pack.Ints)
+			a, ref := core.Update[pack.Ints](c, acc)
 			a[0]++
-			c.EndUpdateAccum(acc)
-			v := c.BeginUseValue(val).(pack.Float64s)
+			ref.Commit()
+			v, vref := core.Use[pack.Float64s](c, val)
 			if v[0] != 2.5 {
 				t.Errorf("value = %v", v[0])
 			}
-			c.EndUseValue(val)
+			vref.Release()
 		}
 		c.Barrier()
 	})

@@ -97,11 +97,11 @@ type objInfo struct {
 	// Accumulator acquisition state. The server serializes acquisitions
 	// per object (core allows one pending per name per node): busy spans
 	// acquire-request to release, holder is set while a two-phase client
-	// grant is outstanding (held is then the borrowed storage), waitQ
-	// holds operations awaiting the release.
+	// grant is outstanding (held is then the open borrow), waitQ holds
+	// operations awaiting the release.
 	busy   bool
 	holder *srvConn
-	held   pack.Float64s
+	held   core.AccumRef
 	waitQ  []pendingOp
 }
 
@@ -400,13 +400,12 @@ func (s *Server) closeSession(c *core.Ctx, sess *session, explicit bool) {
 		case obj.holder != nil:
 			// Grant held by a client: the server owns the exclusive borrow
 			// on the client's behalf, so it can convert and destroy now.
-			s.destroyHeldAccum(c, name)
+			s.destroyHeldAccum(c, obj.held)
 		case obj.busy:
 			// An acquisition is in flight; its callback sees sess.closed
 			// and performs the convert-and-destroy.
 		default:
-			nm := name
-			c.AcquireAccumAsync(nm, func(core.Item) { s.destroyHeldAccum(c, nm) })
+			c.AcquireAccumAsync(name, func(ref core.AccumRef) { s.destroyHeldAccum(c, ref) })
 		}
 		tc.LiveBytes -= obj.size
 	}
@@ -421,10 +420,9 @@ func (s *Server) closeSession(c *core.Ctx, sess *session, explicit bool) {
 
 // destroyHeldAccum reclaims an accumulator this rank currently holds the
 // exclusive borrow on.
-func (s *Server) destroyHeldAccum(c *core.Ctx, name core.Name) {
-	//samlint:ignore deprecatedapi async grant delivers no handle; End* is the only close for a borrow spanning events
-	c.EndUpdateAccumToValue(name, core.UsesUnlimited)
-	c.DestroyValue(name)
+func (s *Server) destroyHeldAccum(c *core.Ctx, ref core.AccumRef) {
+	ref.CommitToValue(core.UsesUnlimited)
+	c.DestroyValue(ref.Name())
 }
 
 func (s *Server) opCreate(c *core.Ctx, sc *srvConn, tc *stats.TenantCounters, req Req, sess *session) {
@@ -523,23 +521,22 @@ func (s *Server) opAcquireFamily(c *core.Ctx, sc *srvConn, tc *stats.TenantCount
 func (s *Server) startAcquire(c *core.Ctx, sess *session, obj *objInfo, sc *srvConn, req Req) {
 	name := ObjName(req.Tenant, req.Tag, req.X, req.Y)
 	obj.busy = true
-	c.AcquireAccumAsync(name, func(it core.Item) {
+	c.AcquireAccumAsync(name, func(ref core.AccumRef) {
 		tc := s.tenant(req.Tenant)
 		if sess.closed {
 			// The session died while the acquisition was in flight. The
 			// closeSession sweep only rejects requests still in waitQ; this
 			// one had already been dequeued, so answer it here or the
 			// client waits forever.
-			s.destroyHeldAccum(c, name)
+			s.destroyHeldAccum(c, ref)
 			s.reject(sc, tc, req, RejNoSession, -1, "session closed")
 			return
 		}
-		item := it.(pack.Float64s)
+		item := ref.Item().(pack.Float64s)
 		if sc.gone {
 			// Client vanished between queue and grant: commit unchanged.
 			// No reply — the writer is shut and any frame would be dropped.
-			//samlint:ignore deprecatedapi async grant delivers no handle; End* is the only close for a borrow spanning events
-			c.EndUpdateAccum(name)
+			ref.Commit()
 			s.release(c, sess, obj)
 			//samlint:ignore replyonce client disconnected; the writer is shut and any frame would be dropped
 			return
@@ -547,8 +544,7 @@ func (s *Server) startAcquire(c *core.Ctx, sess *session, obj *objInfo, sc *srvC
 		switch req.Op {
 		case OpUpdate:
 			if len(req.Val) != len(item) {
-				//samlint:ignore deprecatedapi async grant delivers no handle; End* is the only close for a borrow spanning events
-				c.EndUpdateAccum(name)
+				ref.Commit()
 				s.reject(sc, tc, req, RejBadRequest, -1,
 					fmt.Sprintf("length mismatch: accumulator has %d elements, update has %d", len(item), len(req.Val)))
 				s.release(c, sess, obj)
@@ -558,14 +554,13 @@ func (s *Server) startAcquire(c *core.Ctx, sess *session, obj *objInfo, sc *srvC
 				item[i] += v
 			}
 			val := append([]float64(nil), item...)
-			//samlint:ignore deprecatedapi async grant delivers no handle; End* is the only close for a borrow spanning events
-			c.EndUpdateAccum(name)
+			ref.Commit()
 			tc.Updates++
 			s.reply(sc, tc, Resp{ID: req.ID, OK: true, Val: val})
 			s.release(c, sess, obj)
 		case OpAcquire:
 			obj.holder = sc
-			obj.held = item
+			obj.held = ref
 			tc.Acquires++
 			s.reply(sc, tc, Resp{ID: req.ID, OK: true,
 				Val: append([]float64(nil), item...)})
@@ -574,8 +569,7 @@ func (s *Server) startAcquire(c *core.Ctx, sess *session, obj *objInfo, sc *srvC
 			// Unreachable: only opAcquireFamily enqueues, and it only sees
 			// OpUpdate and OpAcquire. Reject rather than leave the grant
 			// open and the client unanswered if that ever changes.
-			//samlint:ignore deprecatedapi async grant delivers no handle; End* is the only close for a borrow spanning events
-			c.EndUpdateAccum(name)
+			ref.Commit()
 			s.reject(sc, tc, req, RejBadRequest, -1, "unhandled opcode in acquire queue")
 			s.release(c, sess, obj)
 		}
@@ -587,7 +581,7 @@ func (s *Server) startAcquire(c *core.Ctx, sess *session, obj *objInfo, sc *srvC
 func (s *Server) release(c *core.Ctx, sess *session, obj *objInfo) {
 	obj.busy = false
 	obj.holder = nil
-	obj.held = nil
+	obj.held = core.AccumRef{}
 	for len(obj.waitQ) > 0 {
 		next := obj.waitQ[0]
 		obj.waitQ = obj.waitQ[1:]
@@ -611,16 +605,15 @@ func (s *Server) opCommit(c *core.Ctx, sc *srvConn, tc *stats.TenantCounters, re
 		return
 	}
 	// The grant callback left the borrow open on obj.held; finish it here.
-	if len(req.Val) != len(obj.held) {
-		//samlint:ignore deprecatedapi the grant opened in the acquire callback; no handle spans the two events
-		c.EndUpdateAccum(name)
+	item := obj.held.Item().(pack.Float64s)
+	if len(req.Val) != len(item) {
+		obj.held.Commit()
 		s.reject(sc, tc, req, RejBadRequest, -1, "length mismatch on commit")
 		s.release(c, sess, obj)
 		return
 	}
-	copy(obj.held, req.Val)
-	//samlint:ignore deprecatedapi the grant opened in the acquire callback; no handle spans the two events
-	c.EndUpdateAccum(name)
+	copy(item, req.Val)
+	obj.held.Commit()
 	tc.Commits++
 	s.reply(sc, tc, Resp{ID: req.ID, OK: true})
 	s.release(c, sess, obj)
@@ -673,14 +666,14 @@ func (s *Server) opRename(c *core.Ctx, sc *srvConn, tc *stats.TenantCounters, re
 		newUses = core.UsesUnlimited
 	}
 	obj.renaming = true
-	c.RenameValueAsync(old, nw, newUses, func(it core.Item) {
-		item := it.(pack.Float64s)
+	c.RenameValueAsync(old, nw, newUses, func(ref core.CreateRef) {
+		item := ref.Item().(pack.Float64s)
 		n := len(req.Val)
 		if n > len(item) {
 			n = len(item)
 		}
 		copy(item[:n], req.Val[:n])
-		c.EndRenameValue(nw)
+		ref.Publish()
 		tc2 := s.tenant(req.Tenant)
 		if sess.closed {
 			c.DestroyValue(nw)
@@ -767,10 +760,9 @@ func (s *Server) StatLines() []string {
 func (s *Server) disconnect(c *core.Ctx, sc *srvConn) {
 	sc.gone = true
 	for sess := range sc.sessions {
-		for name, obj := range sess.objs {
+		for _, obj := range sess.objs {
 			if obj.holder == sc {
-				//samlint:ignore deprecatedapi the grant opened in the acquire callback; no handle spans the two events
-				c.EndUpdateAccum(name)
+				obj.held.Commit()
 				s.release(c, sess, obj)
 			}
 		}

@@ -496,11 +496,11 @@ func TestInterleavedAppAndClients(t *testing.T) {
 		c.CreateValue(mine, pack.Float64s{float64(r), 1}, 1)
 		c.Barrier()
 		drain(c)
-		v := c.BeginUseValue(peer).(pack.Float64s)
+		v, ref := core.Use[pack.Float64s](c, peer)
 		if got := v[0]; got != float64(1-r) {
 			panic(fmt.Sprintf("rank %d read %v from peer", r, got))
 		}
-		c.EndUseValue(peer)
+		ref.Release()
 		// Phase 2: a shared accumulator migrates between the ranks while
 		// client requests keep arriving.
 		acc := core.Name{Tag: 41}
@@ -510,17 +510,18 @@ func TestInterleavedAppAndClients(t *testing.T) {
 		c.Barrier()
 		drain(c)
 		for i := 0; i < 3; i++ {
-			it := c.BeginUpdateAccum(acc).(pack.Float64s)
+			it, ref := core.Update[pack.Float64s](c, acc)
 			it[0]++
-			c.EndUpdateAccum(acc)
+			ref.Commit()
 			drain(c)
 		}
 		c.Barrier()
 		if r == 0 {
 			// A chaotic read could legally miss the peer's updates; the
 			// exclusive borrow is the synchronizing read.
-			got := c.BeginUpdateAccum(acc).(pack.Float64s)[0]
-			c.EndUpdateAccum(acc)
+			it, ref := core.Update[pack.Float64s](c, acc)
+			got := it[0]
+			ref.Commit()
 			if got != 2*3 {
 				panic(fmt.Sprintf("accumulator = %v, want 6", got))
 			}

@@ -146,9 +146,9 @@ func TestGofabTracedRun(t *testing.T) {
 		c.Barrier()
 		sum := 0
 		for n := 0; n < 4; n++ {
-			v := c.BeginUseValue(core.N1(1, n)).(pack.Ints)
+			v, ref := core.Use[pack.Ints](c, core.N1(1, n))
 			sum += v[0]
-			c.EndUseValue(core.N1(1, n))
+			ref.Release()
 		}
 		if sum != 0+1+2+3 {
 			panic(fmt.Sprintf("node %d read sum %d", c.Node(), sum))

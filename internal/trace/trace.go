@@ -48,8 +48,8 @@ const (
 
 	// Value protocol.
 	EvValCreate   // BeginCreateValue; Aux: declared uses
-	EvValPublish  // EndCreateValue / EndRenameValue; Aux: declared uses
-	EvValUse      // BeginUseValue; Aux: 1 cache hit, 0 remote fetch
+	EvValPublish  // CreateRef.Publish; Aux: declared uses
+	EvValUse      // UseValue; Aux: 1 cache hit, 0 remote fetch
 	EvValData     // a value copy arrived and was cached
 	EvValDone     // DoneValue; Aux: uses consumed
 	EvValDrain    // home: all declared uses consumed, copies reclaimed
@@ -62,14 +62,14 @@ const (
 
 	// Accumulator protocol.
 	EvAccCreate   // CreateAccum (creator is the initial holder)
-	EvAccRequest  // BeginUpdateAccum sent an acquisition to the home; Peer: home
-	EvAccAcquire  // BeginUpdateAccum obtained exclusive access; Aux: 1 local hit
-	EvAccCommit   // EndUpdateAccum; Aux: committed version
+	EvAccRequest  // UpdateAccum sent an acquisition to the home; Peer: home
+	EvAccAcquire  // UpdateAccum obtained exclusive access; Aux: 1 local hit
+	EvAccCommit   // AccumRef.Commit; Aux: committed version
 	EvAccHandoff  // holder hands the data to its successor; Peer: successor
 	EvAccArrive   // accumulator data arrived, this node is now the holder
-	EvAccToValue  // EndUpdateAccumToValue; Aux: declared uses
+	EvAccToValue  // AccumRef.CommitToValue; Aux: declared uses
 	EvValToAccum  // ConvertValueToAccum (owner becomes holder again)
-	EvChaoticRead // BeginReadChaotic; Aux: 1 fresh local snapshot, 0 fetch
+	EvChaoticRead // ReadChaotic; Aux: 1 fresh local snapshot, 0 fetch
 	EvChaoticServe
 	EvChaoticData // a read-only snapshot arrived; Aux: snapshot version
 	EvInvalidate  // Invalidate-mode reclaim; Aux: 1 dropped now, 0 deferred

@@ -72,6 +72,10 @@ type AccumRef = core.AccumRef
 // from ReadChaotic or Ctx.ReadChaotic; drop it with Release.
 type ChaoticRef = core.ChaoticRef
 
+// CreateRef is a value under creation, from CreateInPlace, Rename or
+// Ctx.BeginCreateValue; publish it with Publish.
+type CreateRef = core.CreateRef
+
 // Fabric is the execution and communication substrate the runtime runs
 // on; see internal/fabric for the contract and implementations.
 type Fabric = fabric.Fabric
@@ -165,15 +169,15 @@ func ReadChaotic[T Item](c *Ctx, name Name) (T, ChaoticRef) { return core.ReadCh
 func Create[T Item](c *Ctx, name Name, item T, uses int64) { core.Create(c, name, item, uses) }
 
 // CreateInPlace begins creating a value and returns its storage as a T
-// to fill in place; publish with Ctx.EndCreateValue.
-func CreateInPlace[T Item](c *Ctx, name Name, item T, uses int64) T {
+// to fill in place; publish with the handle's Publish.
+func CreateInPlace[T Item](c *Ctx, name Name, item T, uses int64) (T, CreateRef) {
 	return core.CreateInPlace(c, name, item, uses)
 }
 
 // Rename reuses the storage of the consumed value old for the new value
 // (the finite-buffer idiom), returning it as a T to fill in place;
-// publish with Ctx.EndCreateValue(new).
-func Rename[T Item](c *Ctx, old, new Name, uses int64) T {
+// publish with the handle's Publish.
+func Rename[T Item](c *Ctx, old, new Name, uses int64) (T, CreateRef) {
 	return core.Rename[T](c, old, new, uses)
 }
 
